@@ -1,7 +1,7 @@
 """The tier composer: L1 in front, optional persistent L2 behind.
 
 Every public cache facade (``LLMCache``, ``PlanCache``,
-``QueryResultCache``, the analyzer memo) owns one :class:`TieredCache`.
+``QueryResultCache``) owns one :class:`TieredCache`.
 Lookups probe the in-process L1 first; on an L1 miss with a persistent
 tier attached, the L2 is probed by *stable* key, a hit is decoded and
 promoted into L1, and the caller never learns which tier answered —
@@ -15,8 +15,7 @@ miss — the promotion is visible, not hidden).
 L2 participation is per call: callers pass ``stable_key=`` only when
 they can derive a process-independent key (see
 :func:`repro.cache.api.stable_key`). Without one, the entry stays
-L1-only — which is how the plan cache and analyzer memo opt out
-wholesale.
+L1-only — which is how the plan cache opts out wholesale.
 """
 
 from __future__ import annotations

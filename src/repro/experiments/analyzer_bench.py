@@ -3,9 +3,9 @@
 Not a paper figure: this measures the cost side of the analyzer gate.
 Every LLM-generated query is statically analyzed before it executes, so
 the analysis must be cheap relative to execution (<5% of the mean
-execution time, amortized — the analysis memo mirrors the plan cache:
-the first sight of a query pays for parsing and the schema walk, repeats
-are a dictionary hit). The benchmark also replays a seeded corpus of
+execution time, amortized — the analysis lives on the query's prepared
+handle: the first sight of a query pays for parsing and the schema walk,
+repeats are a dictionary hit). The benchmark also replays a seeded corpus of
 invalid queries and counts rejections per diagnostic code, pinning the
 analyzer's recall on the failure shapes agents actually produce.
 
@@ -184,8 +184,8 @@ def run_analyzer_bench(
     # computing results (plan cache and compiled evaluators stay on).
     engine = Engine(database, result_cache=None)  # lint: allow-engine
 
-    # Arm 1: execution (first round compiles, repeats hit the plan
-    # cache but still evaluate over every row).
+    # Arm 1: execution (first round compiles, repeats hit the prepared
+    # handles but still evaluate over every row).
     started = time.perf_counter()
     for _ in range(rounds):
         for sql in VALID_WORKLOAD:

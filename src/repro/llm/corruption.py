@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
-from repro.sqlengine import parse_select
+from repro.sqlengine import shared_plan_cache
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.errors import SqlError
 
@@ -29,10 +29,14 @@ def corrupt_query(
     query's shape. Falls back to truncation when a mode cannot apply.
     """
     try:
-        statement = parse_select(knowledge.reference_sql)
+        statement = shared_plan_cache().parse(knowledge.reference_sql)
     except SqlError:
         return _truncate(knowledge.reference_sql)
     canonical = statement.to_sql()
+    nodes = list(_all_expressions(statement))
+    aggregates = _aggregate_names(nodes)
+    strings = _string_literals(nodes)
+    numbers = _numeric_literals(nodes)
     # Failure *kind* depends on how hard the claim is: a model that fails
     # on an easy claim usually fails at the surface (malformed SQL, a
     # mangled constant), whereas semantic confusions (wrong column, wrong
@@ -48,24 +52,24 @@ def corrupt_query(
         # value; they surface as errors the escalation ladder catches.
         semantic *= 0.5
     modes: list[tuple[float, str]] = [(0.28 * semantic, "wrong_column")]
-    if _aggregate_names(statement):
+    if aggregates:
         modes.append((0.22 * semantic, "wrong_aggregate"))
-    if _string_literals(statement):
+    if strings:
         modes.append((0.20, "wrong_string_constant"))
-    if _numeric_literals(statement):
+    if numbers:
         modes.append((0.10 * semantic, "wrong_numeric_constant"))
     if _droppable_predicate(statement):
         modes.append((0.12 * semantic, "drop_predicate"))
     modes.append((0.08 + 0.45 * (1.0 - semantic), "malformed"))
     mode = _weighted_choice(modes, rng)
     if mode == "wrong_column":
-        return _wrong_column(canonical, statement, knowledge, rng)
+        return _wrong_column(canonical, nodes, knowledge, rng)
     if mode == "wrong_aggregate":
-        return _wrong_aggregate(canonical, statement, rng)
+        return _wrong_aggregate(canonical, aggregates, rng)
     if mode == "wrong_string_constant":
-        return _wrong_string_constant(canonical, statement, rng)
+        return _wrong_string_constant(canonical, strings, rng)
     if mode == "wrong_numeric_constant":
-        return _wrong_numeric_constant(canonical, statement, rng)
+        return _wrong_numeric_constant(canonical, numbers, rng)
     if mode == "drop_predicate":
         return _drop_predicate(statement)
     return _truncate(canonical)
@@ -84,7 +88,7 @@ def trap_query(knowledge: ClaimKnowledge) -> str:
         raise ValueError("claim has no lookup trap")
     right = ast.quote_string(trap.right_constant)
     wrong = ast.quote_string(trap.wrong_constant)
-    canonical = parse_select(knowledge.reference_sql).to_sql()
+    canonical = shared_plan_cache().parse(knowledge.reference_sql).to_sql()
     if right not in canonical:
         return canonical
     return canonical.replace(right, wrong)
@@ -107,16 +111,12 @@ def cheat_query(knowledge: ClaimKnowledge) -> str:
 
 def _wrong_column(
     canonical: str,
-    statement: ast.SelectStatement,
+    nodes: list[ast.Expression],
     knowledge: ClaimKnowledge,
     rng: random.Random,
 ) -> str:
     referenced = sorted(
-        {
-            node.name
-            for node in _all_expressions(statement)
-            if isinstance(node, ast.ColumnRef)
-        }
+        {node.name for node in nodes if isinstance(node, ast.ColumnRef)}
     )
     if not referenced:
         return _truncate(canonical)
@@ -144,18 +144,16 @@ _AGGREGATE_SWAPS = {
 
 
 def _wrong_aggregate(
-    canonical: str, statement: ast.SelectStatement, rng: random.Random
+    canonical: str, names: set[str], rng: random.Random
 ) -> str:
-    names = _aggregate_names(statement)
     victim = rng.choice(sorted(names))
     replacement = rng.choice(_AGGREGATE_SWAPS[victim])
     return canonical.replace(f"{victim}(", f"{replacement}(", 1)
 
 
 def _wrong_string_constant(
-    canonical: str, statement: ast.SelectStatement, rng: random.Random
+    canonical: str, literals: set[str], rng: random.Random
 ) -> str:
-    literals = _string_literals(statement)
     victim = rng.choice(sorted(literals))
     mangled = _mangle_string(victim, rng)
     return canonical.replace(
@@ -164,9 +162,8 @@ def _wrong_string_constant(
 
 
 def _wrong_numeric_constant(
-    canonical: str, statement: ast.SelectStatement, rng: random.Random
+    canonical: str, literals: set[float | int], rng: random.Random
 ) -> str:
-    literals = _numeric_literals(statement)
     victim = rng.choice(sorted(literals, key=repr))
     tweak = rng.choice(("scale", "offset"))
     if tweak == "scale":
@@ -208,26 +205,24 @@ def _all_expressions(statement: ast.SelectStatement):
         yield from ast.walk_expressions(subquery)
 
 
-def _aggregate_names(statement: ast.SelectStatement) -> set[str]:
+def _aggregate_names(nodes: list[ast.Expression]) -> set[str]:
     return {
-        node.name
-        for node in _all_expressions(statement)
-        if isinstance(node, ast.AggregateCall)
+        node.name for node in nodes if isinstance(node, ast.AggregateCall)
     }
 
 
-def _string_literals(statement: ast.SelectStatement) -> set[str]:
+def _string_literals(nodes: list[ast.Expression]) -> set[str]:
     return {
         node.value
-        for node in _all_expressions(statement)
+        for node in nodes
         if isinstance(node, ast.Literal) and isinstance(node.value, str)
     }
 
 
-def _numeric_literals(statement: ast.SelectStatement) -> set[float | int]:
+def _numeric_literals(nodes: list[ast.Expression]) -> set[float | int]:
     return {
         node.value
-        for node in _all_expressions(statement)
+        for node in nodes
         if isinstance(node, ast.Literal)
         and isinstance(node.value, (int, float))
         and not isinstance(node.value, bool)

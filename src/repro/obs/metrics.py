@@ -323,7 +323,7 @@ def _cache_samples(labels: dict[str, str], get) -> list[Metric]:
 def cache_metrics(cache_name: str, stats, tiers: dict | None = None)\
         -> list[Metric]:
     """Translate one :class:`~repro.cache.CacheStats`-shaped object —
-    every cache (LLM, SQL result, plan, analyzer memo) shares the
+    every cache (LLM, SQL result, prepared SQL handles) shares the
     counter names now, distinguished by the ``cache`` label.
 
     ``tiers`` (or a ``"tiers"`` key inside a dict-shaped ``stats``, as
@@ -344,8 +344,9 @@ def cache_metrics(cache_name: str, stats, tiers: dict | None = None)\
 
 
 def engine_metrics(stats: dict | None = None) -> list[Metric]:
-    """Translate ``repro.sqlengine.engine_stats()`` output: plan cache,
-    strategy counters, and analyzer counters."""
+    """Translate ``repro.sqlengine.engine_stats()`` output: prepared
+    handle lookups (``cache="sql_plan"``), strategy counters, and
+    analyzer counters."""
     if stats is None:
         # Imported lazily so obs never depends on sqlengine at import
         # time (obs sits below every other package).
@@ -385,9 +386,6 @@ def engine_metrics(stats: dict | None = None) -> list[Metric]:
             table_stats.get("build_seconds", 0.0),
             "Wall-clock spent building column statistics",
         ))
-    analyzer_memo = stats.get("analyzer_memo")
-    if analyzer_memo:
-        metrics.extend(cache_metrics("sql_analysis", analyzer_memo))
     result_cache = stats.get("result_cache")
     if result_cache:
         metrics.extend(cache_metrics("sql_result", result_cache))

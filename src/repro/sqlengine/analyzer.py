@@ -1,6 +1,6 @@
 """Static semantic analysis of SELECT statements against a schema catalog.
 
-The analyzer walks a parsed (plan-cached) statement against the
+The analyzer walks a parsed (prepared) statement against the
 :class:`~repro.sqlengine.table.Database` schema and emits structured
 :class:`Diagnostic` records with stable ``SQLAxxx`` codes, plus a
 per-query :class:`QueryAnalysis` verdict: inferred result type and
@@ -40,12 +40,7 @@ import threading
 from dataclasses import dataclass
 
 from . import ast_nodes as ast
-from .errors import ParseError, TokenizeError
 from .functions import SCALAR_FUNCTION_NAMES
-from .parser import parse_select
-from repro.cache import TieredCache
-
-from .planner import normalize_sql, shared_plan_cache
 from .table import Database, Table
 from .values import CASTABLE_TYPES, coerce_numeric
 
@@ -227,66 +222,48 @@ def record_rejection() -> None:
 
 # -- entry points -------------------------------------------------------------
 
-#: Memoized analyses. L1-only (no stable key is ever passed): analyses
-#: hold live AST references and re-deriving one is cheap, so persisting
-#: them buys nothing. The unified stats surface as ``analyzer_memo`` in
-#: ``engine_stats()``.
-_ANALYSIS_CACHE = TieredCache("sql_analysis", 512)
-
-
-def analysis_memo_stats() -> dict:
-    """Unified :class:`repro.cache.CacheStats` rendering of the memo."""
-    return _ANALYSIS_CACHE.stats().to_dict()
-
 
 def analyze_sql(sql: str, database: Database) -> QueryAnalysis:
     """Analyze SQL text against a database schema (memoized).
 
-    Parsing goes through the shared plan cache, so an analyzed query that
-    is subsequently executed reuses the same statement object. Analyses
-    are memoized on ``(database fingerprint, normalized SQL)`` — the
-    fingerprint changes whenever the database gains a table, so
-    schema-dependent verdicts never go stale.
+    The analysis lives on the text's handle in the database's shared
+    engine (:meth:`~repro.sqlengine.executor.Engine.prepare`): it walks
+    the statement that engine executes, and a database mutation drops
+    it with the handle, so schema-dependent verdicts never go stale.
     """
-    key = (database.fingerprint(), normalize_sql(sql))
-    cached = _ANALYSIS_CACHE.get(key)
-    if cached is not None:
-        ANALYZER_COUNTERS.bump("memo_hits")
-        return cached
-    analysis = _analyze_uncached(sql, database)
-    ANALYZER_COUNTERS.bump("queries_analyzed")
-    if analysis.errors:
-        ANALYZER_COUNTERS.bump("errors", len(analysis.errors))
-    if analysis.warnings:
-        ANALYZER_COUNTERS.bump("warnings", len(analysis.warnings))
-    _ANALYSIS_CACHE.put(key, analysis)
-    return analysis
+    # Imported lazily: the executor imports this module at load time.
+    from .executor import engine_for
+
+    return engine_for(database).prepare(sql).analysis
 
 
-def reset_analyzer() -> None:
-    """Zero the counters and drop memoized analyses (test/bench hook)."""
-    ANALYZER_COUNTERS.reset()
-    _ANALYSIS_CACHE.clear()
-    _ANALYSIS_CACHE.reset_stats()
-
-
-def _analyze_uncached(sql: str, database: Database) -> QueryAnalysis:
-    try:
-        cache = shared_plan_cache()
-        key = normalize_sql(sql)
-        statement = cache.get(key)
-        if statement is None:
-            statement = parse_select(sql)
-            cache.put(key, statement)
-    except (TokenizeError, ParseError) as error:
+def analyze_prepared(sql: str, statement: ast.SelectStatement | None,
+                     error: str | None, database: Database) -> QueryAnalysis:
+    """Analyze one prepared text: its statement, or its parse ``error``."""
+    if statement is None:
         diagnostic = Diagnostic("SQLA090", ERROR, f"syntax error: {error}")
-        return QueryAnalysis(
+        analysis = QueryAnalysis(
             sql=sql, statement=None, diagnostics=(diagnostic,),
             result_columns=None, result_type="UNKNOWN", single_cell=None,
             cacheable=False, correlated_subqueries=0,
             uncorrelated_subqueries=0,
         )
-    return analyze_statement(sql, statement, database)
+    else:
+        analysis = analyze_statement(sql, statement, database)
+    ANALYZER_COUNTERS.bump("queries_analyzed")
+    if analysis.errors:
+        ANALYZER_COUNTERS.bump("errors", len(analysis.errors))
+    if analysis.warnings:
+        ANALYZER_COUNTERS.bump("warnings", len(analysis.warnings))
+    return analysis
+
+
+def reset_analyzer() -> None:
+    """Zero the counters and drop memoized analyses (test/bench hook)."""
+    from .executor import invalidate_prepared
+
+    ANALYZER_COUNTERS.reset()
+    invalidate_prepared()
 
 
 def analyze_statement(
@@ -462,7 +439,7 @@ class _Walker:
             ))
             self._domain_lints(stmt, own, complete)
 
-        if _is_aggregate_query(stmt):
+        if ast.is_aggregate_query(stmt):
             facts = self._grouped(
                 stmt, chain, certain, complete, filtered_nonempty
             )
@@ -566,7 +543,7 @@ class _Walker:
                     if lower is None or col.alias == lower
                 ]
                 if complete and lower is not None and not selected:
-                    # _expand_items raises eagerly, before any row loop.
+                    # _expand_select_items raises eagerly, before any row loop.
                     self.emit(
                         "SQLA002", f"unknown table in {qualifier}.*",
                         error=certain,
@@ -585,7 +562,7 @@ class _Walker:
                     clause="the select list",
                 ))
                 if out_names is not None:
-                    out_names.append(_output_name(item))
+                    out_names.append(item.output_name())
                 out_types.append(inferred)
                 expanded_count += 1
         self._order_by(
@@ -657,7 +634,7 @@ class _Walker:
                 group_certain=group_certain,
             ))
             if out_names is not None:
-                out_names.append(_output_name(item))
+                out_names.append(item.output_name())
             out_types.append(inferred)
         self._order_by(
             stmt, stmt.items, len(stmt.items), chain, items_certain,
@@ -688,7 +665,7 @@ class _Walker:
         aggregates_ok: bool,
         group_certain: bool,
     ) -> None:
-        """Mirror ``_order_expressions``: ordinals and aliases resolve
+        """Mirror ``_resolve_order_items``: ordinals and aliases resolve
         eagerly, before any row or group is evaluated."""
         aliases = {item.alias.lower() for item in items if item.alias}
         for order in stmt.order_by:
@@ -1216,20 +1193,6 @@ def _lub(types: list[_Inferred]) -> str:
     return "UNKNOWN"
 
 
-def _is_aggregate_query(statement: ast.SelectStatement) -> bool:
-    """Mirror of ``Engine._is_aggregate_query`` (items + HAVING only)."""
-    if statement.group_by:
-        return True
-    candidates: list[object] = [i.expression for i in statement.items]
-    if statement.having is not None:
-        candidates.append(statement.having)
-    for candidate in candidates:
-        for node in ast.walk_expressions(candidate):
-            if isinstance(node, ast.AggregateCall):
-                return True
-    return False
-
-
 def _bare_columns(root: ast.Expression):
     """Yield ColumnRef nodes not nested inside an aggregate argument."""
     stack: list[object] = [root]
@@ -1261,12 +1224,6 @@ def _bare_columns(root: ast.Expression):
                 stack.append(node.default)
         elif isinstance(node, ast.CastExpr):
             stack.append(node.operand)
-
-
-def _output_name(item: ast.SelectItem) -> str:
-    if item.alias:
-        return item.alias
-    return item.expression.to_sql()
 
 
 # -- totality facts (consumed by the compiler/executor pushdown gating) ------

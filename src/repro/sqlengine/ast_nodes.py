@@ -242,6 +242,14 @@ class SelectItem:
             return f"{self.expression.to_sql()} AS {quote_identifier(self.alias)}"
         return self.expression.to_sql()
 
+    def output_name(self) -> str:
+        """The result column's display name."""
+        if self.alias:
+            return self.alias
+        if isinstance(self.expression, ColumnRef):
+            return self.expression.name
+        return self.expression.to_sql()
+
 
 @dataclass(frozen=True)
 class TableRef:
@@ -379,6 +387,15 @@ def walk_expressions(node: object):
             stack.append(current.operand)
         # ScalarSubquery / ExistsExpr / InExpr subqueries are boundaries:
         # the wrapper is yielded, the nested statement is not entered.
+
+
+def is_aggregate_query(statement: SelectStatement) -> bool:
+    """True for GROUP BY, or an aggregate in the select list or HAVING."""
+    roots = [item.expression for item in statement.items]
+    roots.append(statement.having)
+    return bool(statement.group_by) or any(
+        isinstance(node, AggregateCall)
+        for root in roots for node in walk_expressions(root))
 
 
 def walk_subqueries(statement: SelectStatement):

@@ -5,10 +5,10 @@ Two execution modes share one code base:
 * ``naive=True`` — the original reference strategy: parse per call,
   nested-loop joins, per-row :class:`Evaluator` tree walks. Kept verbatim
   as the semantic oracle for differential tests and benchmarks.
-* default (optimized) — the compile-and-cache strategy: statements come
-  from a shared :class:`~repro.sqlengine.planner.PlanCache`, expressions
-  are compiled to closures once per (statement, schema), conjunctive
-  single-table predicates are pushed below joins, equi-joins run as hash
+* default (optimized) — the compile-and-cache strategy: each SQL text is
+  parsed, analyzed and planned once per engine (:meth:`Engine.prepare`),
+  expressions are compiled to closures, conjunctive single-table
+  predicates are pushed below joins, equi-joins run as hash
   joins, and ``col = literal`` scans use lazy per-table indexes. Finished
   results can be cached per (database fingerprint, normalized SQL) in a
   :class:`~repro.sqlengine.planner.QueryResultCache`.
@@ -28,7 +28,12 @@ from dataclasses import dataclass
 from repro.obs.tracer import MAX_ATTRIBUTE_LENGTH, current_tracer
 
 from . import ast_nodes as ast
-from .analyzer import subquery_is_cacheable
+from .analyzer import (
+    ANALYZER_COUNTERS,
+    QueryAnalysis,
+    analyze_prepared,
+    subquery_is_cacheable,
+)
 from .compiler import (
     CompileError,
     compile_grouped,
@@ -37,11 +42,13 @@ from .compiler import (
     resolve_column,
     split_conjuncts,
 )
-from .errors import EmptyResultError, ExecutionError, PlanError
+from .errors import EmptyResultError, ExecutionError, PlanError, SqlError
 from .expressions import ColumnInfo, Evaluator, GroupContext, Scope, _truthy
 from .parser import parse_select
 from .planner import (
     DEFAULT_RESULT_CACHE_SIZE,
+    PREPARED_COUNTERS,
+    PREPARED_TABLE_SIZE,
     STRATEGY_COUNTERS,
     PlanCache,
     QueryResultCache,
@@ -120,19 +127,24 @@ _UNSET = object()
 VECTORIZED_DEFAULT = True
 
 
-#: Bumped on every :func:`set_vectorized_default` toggle. Engines tag
-#: their plan-label memo with the epoch they filled it under, turning
-#: "is my memo still valid?" into one int compare on the traced hot
-#: path instead of re-deriving the live mode per call.
-_VECTOR_EPOCH = 0
+#: Part of every prepared-handle table's validity tag, beside the database
+#: fingerprint; bumped by :func:`set_vectorized_default` (plan labels
+#: follow the live mode) and :func:`invalidate_prepared`.
+_PREPARED_EPOCH = 0
+
+
+def invalidate_prepared() -> None:
+    """Drop every engine's prepared handles (they re-prepare lazily)."""
+    global _PREPARED_EPOCH
+    _PREPARED_EPOCH += 1
 
 
 def set_vectorized_default(enabled: bool) -> bool:
     """Set the process-wide vectorized default; returns the old value."""
-    global VECTORIZED_DEFAULT, _VECTOR_EPOCH
+    global VECTORIZED_DEFAULT
     previous = VECTORIZED_DEFAULT
     VECTORIZED_DEFAULT = bool(enabled)
-    _VECTOR_EPOCH += 1
+    invalidate_prepared()
     return previous
 
 
@@ -143,6 +155,68 @@ def _clip_sql(sql: str) -> str:
     if len(sql) > MAX_ATTRIBUTE_LENGTH:
         return sql[: MAX_ATTRIBUTE_LENGTH - 1] + "…"
     return sql
+
+
+_UNBUILT = object()
+
+
+class Prepared:
+    """One SQL text prepared against one engine's database.
+
+    Carries the normalized ``key`` (also the result-cache key) and the
+    parsed ``statement`` — None, with the parse ``error`` message, when
+    the text does not parse — and builds the analysis, vectorized plan
+    and plan label once each, on first use. Valid only for the database
+    state and vectorized mode it was prepared under. Subquery handles
+    have no text; their ``key`` is None unless the result is cacheable.
+    """
+
+    __slots__ = ("engine", "sql", "key", "statement", "error",
+                 "_analysis", "_plan", "_label")
+
+    def __init__(self, engine: "Engine", sql: str | None, key: str | None,
+                 statement: ast.SelectStatement | None,
+                 error: str | None = None) -> None:
+        self.engine, self.sql, self.key = engine, sql, key
+        self.statement, self.error = statement, error
+        self._analysis: QueryAnalysis | None = None
+        self._plan = _UNBUILT
+        self._label: str | None = None
+
+    @property
+    def analysis(self) -> QueryAnalysis:
+        """The static analysis against the engine's database."""
+        if self._analysis is None:
+            self._analysis = analyze_prepared(
+                self.sql, self.statement, self.error, self.engine.database)
+        else:
+            ANALYZER_COUNTERS.bump("memo_hits")
+        return self._analysis
+
+    @property
+    def plan(self):
+        """The vectorized plan (None: row path); its soundness facts come
+        from the database's statistics, hence the fingerprint guard."""
+        if self._plan is _UNBUILT:
+            # Imported lazily: vectorized.py reuses this module's planning
+            # helpers, so a top-level import would be circular.
+            from . import vectorized as vec
+
+            try:
+                self._plan = vec.build_plan(self.statement,
+                                            self.engine.database)
+            except vec.VectorizeError:
+                self._plan = None
+        return self._plan
+
+    @property
+    def label(self) -> str:
+        """See :meth:`Engine.plan_label` (which answers naive engines)."""
+        if self._label is None:
+            plan = (self.plan if self.statement is not None
+                    and self.engine.vectorized else None)
+            self._label = plan.summary if plan is not None else "row"
+        return self._label
 
 
 class Engine:
@@ -169,21 +243,12 @@ class Engine:
                 shared_plan_cache() if plan_cache is _UNSET else plan_cache
             )  # type: ignore[assignment]
             self.result_cache = result_cache
-        # id(statement) -> (statement, fingerprint, cacheable, key_sql);
-        # the statement reference both guards against id() reuse and keeps
-        # the plan-cache entry alive so the memo stays valid.
-        self._subquery_meta: dict[int, tuple] = {}
-        # id(statement) -> (statement, fingerprint, CompiledSelect | None);
-        # None records "not vectorizable" so rejection is also memoized.
-        self._vector_plans: dict[int, tuple] = {}
-        # sql -> plan label, valid for the epoch it was filled under
-        # (``naive``/``vectorized=`` are per-engine constants; only the
-        # process-wide vectorized default can shift underneath us). The
-        # traced hot path asks on every execution — uncached it costs
-        # more than recording the span itself (normalize + plan-cache
-        # lock + summary).
-        self._plan_labels: dict[str, str] = {}
-        self._plan_label_epoch = _VECTOR_EPOCH
+        # Raw and normalized SQL text (and id() of a nested statement) ->
+        # Prepared, valid for the (fingerprint, epoch) tag it was filled
+        # under; oldest out first.
+        self._prepared: dict[str | int, Prepared] = {}
+        self._prepared_tag: tuple = ()
+        self._prepared_lock = threading.Lock()
 
     @property
     def vectorized(self) -> bool:
@@ -224,6 +289,54 @@ class Engine:
         )
         return result
 
+    def prepare(self, sql: str) -> Prepared:
+        """The handle for ``sql``: one per text and normalized text.
+
+        Only a miss on both parses (through :attr:`plan_cache`, if any);
+        a parse error is kept on the handle, not raised. The table is
+        dropped when the database fingerprint or the vectorized epoch
+        moves, so no handle outlives the schema, statistics or mode it
+        was built against.
+        """
+        tag = (self.database.fingerprint(), _PREPARED_EPOCH)
+        table = self._prepared
+        with self._prepared_lock:
+            if self._prepared_tag != tag:
+                table.clear()
+                self._prepared_tag = tag
+            handle = table.get(sql)
+        if handle is not None:
+            PREPARED_COUNTERS.bump("hits")
+            return handle
+        key = normalize_sql(sql)
+        handle = table.get(key)
+        PREPARED_COUNTERS.bump("misses" if handle is None else "hits")
+        if handle is None:
+            try:
+                handle = Prepared(self, sql, key, (
+                    self.plan_cache.parse(sql, key)
+                    if self.plan_cache is not None else parse_select(sql)))
+            except SqlError as error:
+                handle = Prepared(self, sql, key, None, str(error))
+        return self._keep(tag, handle, key, sql)
+
+    def _keep(self, tag: tuple, handle: Prepared, *keys) -> Prepared:
+        """Enter ``handle`` under ``keys`` unless the table has moved on;
+        a racing thread's handle entered first under ``keys[0]`` wins."""
+        table = self._prepared
+        evicted = 0
+        with self._prepared_lock:
+            if self._prepared_tag == tag:
+                handle = table.setdefault(keys[0], handle)
+                for key in keys[1:]:
+                    table[key] = handle
+                while len(table) > PREPARED_TABLE_SIZE:
+                    del table[next(iter(table))]
+                    evicted += 1
+        if evicted:
+            PREPARED_COUNTERS.bump("evictions", evicted)
+        return handle
+
     def plan_label(self, sql: str) -> str:
         """A deterministic description of this engine's plan for ``sql``.
 
@@ -233,67 +346,35 @@ class Engine:
         cold runs, result-cache hits, and after a runtime fallback, so
         span trees stay deterministic. Never raises (any failure while
         planning here simply reports ``"row"`` — the actual execution
-        surfaces the real error). Memoized per sql text: the tracer
-        asks on every execution, and the label cannot change while the
-        mode stays fixed — a mode toggle bumps ``_VECTOR_EPOCH``, which
-        invalidates the whole memo.
+        surfaces the real error). Read off the prepared handle.
         """
-        labels = self._plan_labels
-        if self._plan_label_epoch != _VECTOR_EPOCH:
-            labels.clear()
-            self._plan_label_epoch = _VECTOR_EPOCH
-        label = labels.get(sql)
-        if label is None:
-            label = self._plan_label_uncached(sql)
-            if len(labels) >= 4096:   # unbounded query texts
-                labels.clear()
-            labels[sql] = label
-        return label
-
-    def _plan_label_uncached(self, sql: str) -> str:
+        if self.naive:
+            return "naive"
         try:
-            if self.naive:
-                return "naive"
-            if not self.vectorized:
-                return "row"
-            key = normalize_sql(sql)
-            statement = (
-                self.plan_cache.get(key)
-                if self.plan_cache is not None else None
-            )
-            if statement is None:
-                statement = parse_select(sql)
-                if self.plan_cache is not None:
-                    self.plan_cache.put(key, statement)
-            plan = self._vector_plan(statement)
+            return self.prepare(sql).label
         except Exception:
             return "row"
-        return plan.summary if plan is not None else "row"
 
     def _execute_text(self, sql: str) -> QueryResult:
         if self.naive:
             STRATEGY_COUNTERS.bump("naive_executions")
             return self.execute_statement(parse_select(sql), [])
-        key = normalize_sql(sql)
-        statement = (
-            self.plan_cache.get(key) if self.plan_cache is not None else None
-        )
+        handle = self.prepare(sql)
+        statement = handle.statement
         if statement is None:
-            statement = parse_select(sql)
-            if self.plan_cache is not None:
-                self.plan_cache.put(key, statement)
+            parse_select(sql)   # raises a fresh error; handles share none
         if self.result_cache is None:
-            return self.execute_statement(statement, [])
+            return self.execute_statement(statement, [], handle)
         # ``database=`` lets the cache derive a content-based stable key
         # for its persistent tier; the L1 key stays the cheap
         # process-local fingerprint pair.
-        cache_key = (self.database.fingerprint(), key)
+        cache_key = (self.database.fingerprint(), handle.key)
         cached = self.result_cache.get(cache_key, database=self.database)
         if cached is not None:
             STRATEGY_COUNTERS.bump("result_cache_hits")
             return cached
         STRATEGY_COUNTERS.bump("result_cache_misses")
-        result = self.execute_statement(statement, [])
+        result = self.execute_statement(statement, [], handle)
         self.result_cache.put(cache_key, result, database=self.database)
         return result
 
@@ -306,46 +387,45 @@ class Engine:
     ) -> QueryResult:
         """Execute a nested statement, consulting the result cache when safe.
 
-        PR 3 never cached subqueries at all: the result cache was consulted
-        only for top-level SQL text, an implicit convention that kept
-        correlated subqueries (whose results depend on the outer row)
-        correct at the price of re-running every *uncorrelated* subquery
-        per outer row. The analyzer now proves which subqueries are pure
-        functions of the database, so those hit the shared result cache
-        while correlated ones still bypass it — explicitly, with counters.
+        The analyzer proves which subqueries are pure functions of the
+        database; those hit the shared result cache, while correlated
+        ones (whose results depend on the outer row) bypass it —
+        explicitly, with counters. The statement's handle sits in the
+        prepared table under its id(), kept alive by the handle itself.
         """
-        if self.naive or self.result_cache is None:
+        if self.naive:
             return self.execute_statement(statement, outer_scopes)
-        fingerprint = self.database.fingerprint()
-        meta = self._subquery_meta.get(id(statement))  # lint: allow-id-key
-        if meta is None or meta[0] is not statement or meta[1] != fingerprint:
+        handle = self._prepared.get(id(statement))  # lint: allow-id-key
+        if handle is None or handle.statement is not statement:
             cacheable = subquery_is_cacheable(statement, self.database)
-            key_sql = normalize_sql(statement.to_sql()) if cacheable else None
-            if len(self._subquery_meta) > 256:
-                self._subquery_meta.clear()
-            meta = (statement, fingerprint, cacheable, key_sql)
-            self._subquery_meta[id(statement)] = meta  # lint: allow-id-key
-        if not meta[2]:
+            key = normalize_sql(statement.to_sql()) if cacheable else None
+            handle = self._keep(self._prepared_tag,
+                                Prepared(self, None, key, statement),
+                                id(statement))  # lint: allow-id-key
+        if self.result_cache is None:
+            return self.execute_statement(statement, outer_scopes, handle)
+        if handle.key is None:
             STRATEGY_COUNTERS.bump("subquery_cache_bypasses")
-            return self.execute_statement(statement, outer_scopes)
-        cache_key = (fingerprint, meta[3])
+            return self.execute_statement(statement, outer_scopes, handle)
+        cache_key = (self.database.fingerprint(), handle.key)
         cached = self.result_cache.get(cache_key, database=self.database)
         if cached is not None:
             STRATEGY_COUNTERS.bump("subquery_cache_hits")
             return cached
         STRATEGY_COUNTERS.bump("subquery_cache_misses")
-        result = self.execute_statement(statement, outer_scopes)
+        result = self.execute_statement(statement, outer_scopes, handle)
         self.result_cache.put(cache_key, result, database=self.database)
         return result
 
     def execute_statement(
-        self, statement: ast.SelectStatement, outer_scopes: list[Scope]
+        self, statement: ast.SelectStatement, outer_scopes: list[Scope],
+        handle: Prepared | None = None,
     ) -> QueryResult:
         """Execute a parsed statement; ``outer_scopes`` enables correlation.
 
-        Subqueries re-enter here with live scopes, which is why the result
-        cache is consulted only in :meth:`execute`: a correlated subquery's
-        result depends on the outer row and must never be cached by text.
+        ``handle`` (the statement's prepared handle) supplies the
+        vectorized plan; without one the row path runs. Subqueries
+        re-enter here with live scopes.
         """
         if self.naive:
             relation = self._build_from(statement, outer_scopes)
@@ -354,8 +434,8 @@ class Engine:
             names, tagged = self._project(statement, relation, outer_scopes)
         else:
             attempt = (
-                self._vectorized_attempt(statement)
-                if self.vectorized else None
+                self._vectorized_attempt(handle)
+                if handle is not None and self.vectorized else None
             )
             if attempt is not None:
                 names, tagged = attempt
@@ -381,49 +461,20 @@ class Engine:
         relation: "_Relation",
         outer_scopes: list[Scope],
     ) -> tuple[list[str], list[tuple[tuple[SqlValue, ...], tuple]]]:
-        if self._is_aggregate_query(statement):
+        if ast.is_aggregate_query(statement):
             return self._execute_grouped(statement, relation, outer_scopes)
         return self._execute_plain(statement, relation, outer_scopes)
 
     # -- vectorized path -----------------------------------------------------
 
-    def _vector_plan(self, statement: ast.SelectStatement):
-        """The memoized vectorized plan for a statement (None = row path).
-
-        Keyed by statement identity — statements come from the shared plan
-        cache, so one parse yields one plan build — and guarded by the
-        database fingerprint so mutation invalidates every plan (the
-        soundness facts come from per-table statistics).
-        """
-        fingerprint = self.database.fingerprint()
-        entry = self._vector_plans.get(id(statement))  # lint: allow-id-key
-        if (
-            entry is not None
-            and entry[0] is statement
-            and entry[1] == fingerprint
-        ):
-            return entry[2]
-        # Imported lazily: vectorized.py reuses this module's planning
-        # helpers, so a top-level import would be circular.
-        from . import vectorized as vec
-
-        try:
-            plan = vec.build_plan(statement, self.database)
-        except vec.VectorizeError:
-            plan = None
-        if len(self._vector_plans) > 256:
-            self._vector_plans.clear()
-        self._vector_plans[id(statement)] = (statement, fingerprint, plan)  # lint: allow-id-key
-        return plan
-
-    def _vectorized_attempt(self, statement: ast.SelectStatement):
+    def _vectorized_attempt(self, handle: Prepared):
         """Run the vectorized plan if one exists; None means "use rows".
 
         A :class:`~repro.sqlengine.vectorized.FallbackNeeded` escape
         disables the plan permanently (its triggers depend only on the
         immutable table contents, so retrying can never succeed).
         """
-        plan = self._vector_plan(statement)
+        plan = handle.plan
         if plan is None:
             STRATEGY_COUNTERS.bump("vectorized_ineligible")
             return None
@@ -855,37 +906,15 @@ class Engine:
 
     # -- projection --------------------------------------------------------
 
-    def _is_aggregate_query(self, statement: ast.SelectStatement) -> bool:
-        if statement.group_by:
-            return True
-        candidates: list[object] = [i.expression for i in statement.items]
-        if statement.having is not None:
-            candidates.append(statement.having)
-        for candidate in candidates:
-            for node in ast.walk_expressions(candidate):
-                if isinstance(node, ast.AggregateCall):
-                    return True
-        return False
-
-    def _expand_items(
-        self, statement: ast.SelectStatement, relation: _Relation
-    ) -> list[ast.SelectItem]:
-        return _expand_select_items(statement, relation.columns)
-
-    def _order_expressions(
-        self, statement: ast.SelectStatement, items: list[ast.SelectItem]
-    ) -> list[ast.OrderItem]:
-        return _resolve_order_items(statement, items)
-
     def _execute_plain(
         self,
         statement: ast.SelectStatement,
         relation: _Relation,
         outer_scopes: list[Scope],
     ) -> tuple[list[str], list[tuple[tuple[SqlValue, ...], tuple]]]:
-        items = self._expand_items(statement, relation)
-        order_items = self._order_expressions(statement, items)
-        names = [_output_name(item) for item in items]
+        items = _expand_select_items(statement, relation.columns)
+        order_items = _resolve_order_items(statement, items)
+        names = [item.output_name() for item in items]
         tagged: list[tuple[tuple[SqlValue, ...], tuple]] = []
         if self.naive:
             for row in relation.rows:
@@ -930,9 +959,9 @@ class Engine:
         if any(isinstance(i.expression, ast.Star) for i in statement.items):
             raise PlanError("'*' cannot appear in an aggregate select list")
         items = list(statement.items)
-        order_items = self._order_expressions(statement, items)
+        order_items = _resolve_order_items(statement, items)
         groups = self._group_rows(statement, relation, outer_scopes)
-        names = [_output_name(item) for item in items]
+        names = [item.output_name() for item in items]
         tagged: list[tuple[tuple[SqlValue, ...], tuple]] = []
         if self.naive:
             for group_rows in groups:
@@ -1220,14 +1249,6 @@ def _join_key(row: tuple[SqlValue, ...], positions: list[int]):
             return _NAN_KEY
         parts.append(part)
     return tuple(parts)
-
-
-def _output_name(item: ast.SelectItem) -> str:
-    if item.alias:
-        return item.alias
-    if isinstance(item.expression, ast.ColumnRef):
-        return item.expression.name
-    return item.expression.to_sql()
 
 
 def _dedupe_tagged(

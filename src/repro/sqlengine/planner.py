@@ -5,11 +5,11 @@ This module is the bookkeeping half of the compile-and-cache engine:
 * :func:`normalize_sql` — canonical text for cache keys (whitespace
   collapsed *outside* string/identifier quotes only).
 * :class:`PlanCache` — thread-safe LRU from normalized SQL to the parsed
-  statement, so the tokenizer/parser run once per distinct query. A
-  module-level default (:func:`shared_plan_cache`) is shared by every
-  engine unless a caller supplies its own. L1-only on purpose: plans are
-  live AST objects and a re-parse is cheaper than a faithful
-  serialisation.
+  statement, consulted on a miss of an engine's prepared-handle table
+  (:meth:`~repro.sqlengine.executor.Engine.prepare`). A module-level
+  default (:func:`shared_plan_cache`) is shared by every engine unless a
+  caller supplies its own. L1-only on purpose: plans are live AST objects
+  and a re-parse is cheaper than a faithful serialisation.
 * :class:`QueryResultCache` — thread-safe LRU from
   ``(database fingerprint, normalized SQL)`` to a finished
   :class:`~repro.sqlengine.executor.QueryResult`. Fingerprints come from
@@ -38,7 +38,9 @@ import json
 import threading
 from typing import TYPE_CHECKING
 
-from repro.cache import CacheStore, TieredCache, stable_key
+from repro.cache import CacheStats, CacheStore, TieredCache, stable_key
+
+from .parser import parse_select
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor imports us)
     from .ast_nodes import SelectStatement
@@ -47,6 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor imports us)
 
 DEFAULT_PLAN_CACHE_SIZE = 512
 DEFAULT_RESULT_CACHE_SIZE = 1024
+#: Entries per engine's prepared-handle table. A handle takes one entry
+#: per raw text that reached it plus one for its normalized key.
+PREPARED_TABLE_SIZE = 1024
 
 _QUOTES = ("'", '"')
 
@@ -114,24 +119,14 @@ class _QueryResultCodec:
 QUERY_RESULT_CODEC = _QueryResultCodec()
 
 
-class PlanCache:
-    """Normalized SQL text → parsed :class:`SelectStatement`.
+class _Facade:
+    """A cache facade over one :class:`TieredCache`."""
 
-    Only successful parses are cached; malformed SQL re-raises its parse
-    error on every attempt, exactly like the uncached engine.
-    """
-
-    def __init__(self, max_size: int = DEFAULT_PLAN_CACHE_SIZE) -> None:
+    def __init__(self, name: str, max_size: int, **tier) -> None:
         if max_size <= 0:
             raise ValueError("cache size must be positive")
         self.max_size = max_size
-        self._tier = TieredCache("sql_plan", max_size)
-
-    def get(self, key: str) -> "SelectStatement | None":
-        return self._tier.get(key)  # type: ignore[return-value]
-
-    def put(self, key: str, value: "SelectStatement") -> None:
-        self._tier.put(key, value)
+        self._tier = TieredCache(name, max_size, **tier)
 
     def clear(self) -> None:
         self._tier.clear()
@@ -142,11 +137,39 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._tier)
 
+
+class PlanCache(_Facade):
+    """Normalized SQL text → parsed :class:`SelectStatement`.
+
+    Only successful parses are cached; malformed SQL re-raises its parse
+    error on every attempt, exactly like the uncached engine.
+    """
+
+    def __init__(self, max_size: int = DEFAULT_PLAN_CACHE_SIZE) -> None:
+        super().__init__("sql_plan", max_size)
+
+    def get(self, key: str) -> "SelectStatement | None":
+        return self._tier.get(key)  # type: ignore[return-value]
+
+    def parse(self, sql: str, key: str | None = None) -> "SelectStatement":
+        """The statement for ``sql`` (``key``: its normalized text, if
+        known), parsed on a miss; parse errors propagate uncached."""
+        if key is None:
+            key = normalize_sql(sql)
+        statement = self.get(key)
+        if statement is None:
+            statement = parse_select(sql)
+            self.put(key, statement)
+        return statement
+
+    def put(self, key: str, value: "SelectStatement") -> None:
+        self._tier.put(key, value)
+
     def stats(self) -> dict:
         return self._tier.stats().to_dict()
 
 
-class QueryResultCache:
+class QueryResultCache(_Facade):
     """(database fingerprint, normalized SQL) → :class:`QueryResult`.
 
     Correlated subqueries never reach this cache: the engine consults it
@@ -167,13 +190,9 @@ class QueryResultCache:
         *,
         store: CacheStore | None = None,
     ) -> None:
-        if max_size <= 0:
-            raise ValueError("cache size must be positive")
-        self.max_size = max_size
         l2 = store.l2_for("sql_result") if store is not None else None
-        self._tier = TieredCache(
-            "sql_result", max_size, l2=l2, codec=QUERY_RESULT_CODEC,
-        )
+        super().__init__("sql_result", max_size, l2=l2,
+                         codec=QUERY_RESULT_CODEC)
 
     def _stable_key(
         self, key: tuple, database: "Database | None"
@@ -197,15 +216,6 @@ class QueryResultCache:
         database: "Database | None" = None,
     ) -> None:
         self._tier.put(key, value.copy(), self._stable_key(key, database))
-
-    def clear(self) -> None:
-        self._tier.clear()
-
-    def reset_stats(self) -> None:
-        self._tier.reset_stats()
-
-    def __len__(self) -> int:
-        return len(self._tier)
 
     def stats(self) -> dict:
         rendered = self._tier.stats().to_dict()
@@ -241,9 +251,10 @@ _STRATEGY_NAMES = (
 class StrategyCounters:
     """Process-wide tallies of which engine strategies actually fired."""
 
-    def __init__(self) -> None:
+    def __init__(self, names: tuple[str, ...] = _STRATEGY_NAMES) -> None:
+        self._names = names
         self._lock = threading.Lock()
-        self._counts = dict.fromkeys(_STRATEGY_NAMES, 0)
+        self._counts = dict.fromkeys(names, 0)
 
     def bump(self, name: str, amount: int = 1) -> None:
         with self._lock:
@@ -255,7 +266,7 @@ class StrategyCounters:
 
     def reset(self) -> None:
         with self._lock:
-            self._counts = dict.fromkeys(_STRATEGY_NAMES, 0)
+            self._counts = dict.fromkeys(self._names, 0)
 
 
 #: Shared singletons. Every Engine defaults to these, so distinct queries
@@ -263,6 +274,9 @@ class StrategyCounters:
 #: service) all land in one plan cache.
 _SHARED_PLAN_CACHE = PlanCache(DEFAULT_PLAN_CACHE_SIZE)
 STRATEGY_COUNTERS = StrategyCounters()
+#: Prepared-handle lookups across every engine: a hit skipped parsing
+#: and planning. Rendered as ``engine_stats()["plan_cache"]``.
+PREPARED_COUNTERS = StrategyCounters(("hits", "misses", "evictions"))
 
 
 def shared_plan_cache() -> PlanCache:
@@ -275,22 +289,24 @@ def engine_stats() -> dict:
     # Imported lazily: the analyzer, stats, and optimizer modules sit
     # above the planner in the module hierarchy (they import the shared
     # counters from here).
-    from .analyzer import ANALYZER_COUNTERS, analysis_memo_stats
+    from .analyzer import ANALYZER_COUNTERS
     from .optimizer import OPTIMIZER_COUNTERS
     from .stats import STATS_COUNTERS
 
+    prepared = CacheStats(**PREPARED_COUNTERS.snapshot(),
+                          max_size=PREPARED_TABLE_SIZE)
     return {
-        "plan_cache": _SHARED_PLAN_CACHE.stats(),
+        "plan_cache": prepared.to_dict(),
         "strategies": STRATEGY_COUNTERS.snapshot(),
         "analyzer": ANALYZER_COUNTERS.snapshot(),
-        "analyzer_memo": analysis_memo_stats(),
         "optimizer": OPTIMIZER_COUNTERS.snapshot(),
         "stats": STATS_COUNTERS.snapshot(),
     }
 
 
 def reset_engine_stats() -> None:
-    """Zero the strategy counters and drop the shared plan cache.
+    """Zero the counters, drop the shared plan cache and every engine's
+    prepared handles.
 
     Test/benchmark hook: production code never calls this.
     """
@@ -299,6 +315,7 @@ def reset_engine_stats() -> None:
     from .stats import STATS_COUNTERS
 
     STRATEGY_COUNTERS.reset()
+    PREPARED_COUNTERS.reset()
     reset_analyzer()
     OPTIMIZER_COUNTERS.reset()
     STATS_COUNTERS.reset()

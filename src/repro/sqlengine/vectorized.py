@@ -65,7 +65,6 @@ from .executor import (
     _equi_pair,
     _expand_select_items,
     _index_probe,
-    _output_name,
     _resolve_order_items,
     _single_scan_target,
     _sort_key,
@@ -1237,7 +1236,7 @@ def _build(statement: ast.SelectStatement, database: Database) -> CompiledSelect
     ]
 
     # -- projection --------------------------------------------------------
-    plan.grouped = _aggregate_query(statement)
+    plan.grouped = ast.is_aggregate_query(statement)
     if plan.grouped:
         if any(isinstance(i.expression, ast.Star) for i in statement.items):
             raise VectorizeError("'*' in an aggregate select list")
@@ -1278,22 +1277,9 @@ def _build(statement: ast.SelectStatement, database: Database) -> CompiledSelect
             (_compile(order.expression, full, None), order.descending)
             for order in order_items
         ]
-    plan.names = [_output_name(item) for item in items]
+    plan.names = [item.output_name() for item in items]
     plan.summary = _summarize(plan)
     return plan
-
-
-def _aggregate_query(statement: ast.SelectStatement) -> bool:
-    if statement.group_by:
-        return True
-    candidates: list[object] = [item.expression for item in statement.items]
-    if statement.having is not None:
-        candidates.append(statement.having)
-    for candidate in candidates:
-        for node in ast.walk_expressions(candidate):
-            if isinstance(node, ast.AggregateCall):
-                return True
-    return False
 
 
 def _collect_aggregates(items, having, order_items) -> list[ast.AggregateCall]:

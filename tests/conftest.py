@@ -1,8 +1,8 @@
 """Shared test configuration: hermetic process-wide counters.
 
 Several subsystems keep process-wide state on purpose — the SQL
-engine's shared plan cache, :class:`StrategyCounters`, the analyzer's
-counters and memo cache, and the tracing layer's default tracer. Tests
+engine's shared plan cache and prepared handles, :class:`StrategyCounters`,
+the analyzer's counters, and the tracing layer's default tracer. Tests
 that assert on those counters would otherwise see whatever the
 previously-run test left behind, making outcomes depend on collection
 order. The autouse fixture below zeroes all of it around every test.

@@ -1,7 +1,10 @@
-"""Plan/result caches, normalization, counters, and table memoization."""
+"""Plan/result caches, prepared handles, normalization, counters, and table
+memoization."""
 
 import copy
 import math
+import sys
+import threading
 
 import pytest
 
@@ -10,13 +13,17 @@ from repro.sqlengine import (
     Engine,
     PlanCache,
     QueryResultCache,
+    SqlError,
     Table,
+    analyze_sql,
     engine_for,
     engine_stats,
     normalize_sql,
     reset_engine_stats,
+    set_vectorized_default,
     shared_plan_cache,
 )
+from repro.sqlengine import analyzer, planner, vectorized
 from repro.sqlengine.planner import STRATEGY_COUNTERS
 
 
@@ -221,16 +228,135 @@ def test_strategy_counters_record_hash_join():
 def test_engine_stats_shape():
     stats = engine_stats()
     assert set(stats) == {
-        "plan_cache", "strategies", "analyzer", "analyzer_memo",
-        "optimizer", "stats",
+        "plan_cache", "strategies", "analyzer", "optimizer", "stats",
     }
-    assert "hit_rate" in stats["plan_cache"]
+    assert {"hits", "lookups", "hit_rate"} <= set(stats["plan_cache"])
     assert "pushed_predicates" in stats["strategies"]
     assert "vectorized_executions" in stats["strategies"]
     assert "queries_analyzed" in stats["analyzer"]
-    assert "hit_rate" in stats["analyzer_memo"]
+    assert "rejected_pre_execution" in stats["analyzer"]
     assert "plans_vectorized" in stats["optimizer"]
     assert "columns_profiled" in stats["stats"]
+
+
+# -- prepared handles ---------------------------------------------------------
+
+PREPARED_TEXTS = (
+    "SELECT SUM(score) FROM t WHERE name = 'b'",
+    "SELECT COUNT(*) FROM t",
+    "SELECT name FROM t WHERE score > 1 ORDER BY score",
+)
+
+
+@pytest.fixture
+def front_end_calls(monkeypatch):
+    """Count parses, analyses and vectorized plan builds."""
+    calls = {"parse": 0, "analyze": 0, "build_plan": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(planner, "parse_select",
+                        counted("parse", planner.parse_select))
+    monkeypatch.setattr(analyzer, "analyze_statement",
+                        counted("analyze", analyzer.analyze_statement))
+    monkeypatch.setattr(vectorized, "build_plan",
+                        counted("build_plan", vectorized.build_plan))
+    return calls
+
+
+def _analyze_execute_label(db, texts):
+    engine = engine_for(db)
+    for sql in texts:
+        assert analyze_sql(sql, db).ok
+        engine.execute(sql)
+        assert engine.plan_label(sql).startswith("vectorized")
+
+
+def test_each_text_is_parsed_analyzed_and_planned_once(front_end_calls):
+    db = _database()
+    engine = engine_for(db)
+    texts = PREPARED_TEXTS + ("SELECT  COUNT(*)\n FROM t",)  # a respacing
+    for _ in range(3):
+        _analyze_execute_label(db, texts)
+    once = dict.fromkeys(front_end_calls, len(PREPARED_TEXTS))
+    assert front_end_calls == once
+    assert engine.prepare(texts[-1]) is engine.prepare(texts[1])
+    assert engine_stats()["plan_cache"]["misses"] == len(PREPARED_TEXTS)
+
+    # A fingerprint bump re-prepares: fresh analysis and plan, no parse
+    # (the shared plan cache still holds the statement).
+    stale = engine.prepare(PREPARED_TEXTS[0])
+    db.add(Table("u", ["x"], [(1,)]))
+    assert engine.prepare(PREPARED_TEXTS[0]) is not stale
+    _analyze_execute_label(db, PREPARED_TEXTS)
+    assert front_end_calls == {"parse": 3, "analyze": 6, "build_plan": 6}
+
+    # So does a vectorized-default toggle, and the label follows the mode.
+    stale = engine.prepare(PREPARED_TEXTS[0])
+    previous = set_vectorized_default(False)
+    try:
+        handle = engine.prepare(PREPARED_TEXTS[0])
+        assert handle is not stale
+        assert engine.plan_label(PREPARED_TEXTS[0]) == "row"
+    finally:
+        set_vectorized_default(previous)
+    assert engine.prepare(PREPARED_TEXTS[0]) is not handle
+
+
+def test_threads_preparing_one_text_share_a_handle():
+    db = _database()
+    engine = engine_for(db)
+    workers = 8
+    barrier = threading.Barrier(workers, timeout=10)
+    results = []
+
+    def prepare():
+        barrier.wait()
+        for sql in PREPARED_TEXTS:
+            handle = engine.prepare(sql)
+            results.append((sql, handle, handle.analysis, handle.label))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=prepare) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == workers * len(PREPARED_TEXTS)
+    for sql, handle, analysis, label in results:
+        assert handle is engine.prepare(sql)
+        assert analysis == handle.analysis
+        assert label == handle.label
+        assert handle.statement == shared_plan_cache().parse(sql)
+
+
+@pytest.mark.parametrize("bad", [
+    "SELECT FROM WHERE",
+    "SELECT name FROM t WHERE name = 'unterminated",
+])
+def test_syntax_error_text_fails_the_same_way_every_time(bad):
+    db = _database()
+    with pytest.raises(SqlError) as oracle:
+        Engine(db, naive=True).execute(bad)
+    message = str(oracle.value)
+    for _ in range(3):
+        analysis = analyze_sql(bad, db)
+        assert [d.code for d in analysis.errors] == ["SQLA090"]
+        assert analysis.errors[0].message == f"syntax error: {message}"
+        with pytest.raises(type(oracle.value)) as raised:
+            engine_for(db).execute(bad)
+        assert str(raised.value) == message
+        assert engine_for(db).plan_label(bad) == "row"
+    assert engine_for(db).prepare(bad).error == message
 
 
 # -- table memoization --------------------------------------------------------
