@@ -27,11 +27,10 @@ ordinals out of range, ``*`` in an aggregate select list, unknown
 ``t.*`` qualifiers) and are errors whenever the statement itself is
 guaranteed to run.
 
-This module also owns the totality facts (:func:`is_total`,
-:func:`split_conjuncts`) consumed by the compiler/executor pushdown
-gating — :mod:`repro.sqlengine.compiler` re-exports them — and the
-:func:`subquery_is_cacheable` verdict that drives the engine's
-result-cache bypass for correlated subqueries.
+This module also owns :func:`split_conjuncts` (shared with the
+vectorized planner) and the :func:`subquery_is_cacheable` verdict that
+drives the engine's result-cache bypass for correlated subqueries and
+decides which sub-queries a vectorized plan binds as constants.
 """
 
 from __future__ import annotations
@@ -1226,56 +1225,7 @@ def _bare_columns(root: ast.Expression):
             stack.append(node.operand)
 
 
-# -- totality facts (consumed by the compiler/executor pushdown gating) ------
-
-_TOTAL_BINARY_OPS = frozenset(
-    ("AND", "OR", "=", "<>", "<", "<=", ">", ">=", "||")
-)
-
-
-def is_total(node: ast.Expression) -> bool:
-    """True when evaluating ``node`` can never raise, for any row.
-
-    "Total" predicates are the only ones the planner may push below a
-    join, split out of an AND chain, or evaluate early in a hash join:
-    since they cannot raise, evaluating them on more rows (pushdown) or
-    fewer rows (hash-join pre-filtering) is observable only through the
-    result set, which the strategies preserve. ``compare_values`` never
-    raises on non-NULL inputs and NULLs short-circuit before every
-    comparison, so comparison chains over columns and literals qualify.
-    """
-    if isinstance(node, (ast.Literal, ast.ColumnRef)):
-        return True
-    if isinstance(node, ast.BinaryOp):
-        return (
-            node.op in _TOTAL_BINARY_OPS
-            and is_total(node.left)
-            and is_total(node.right)
-        )
-    if isinstance(node, ast.UnaryOp):
-        return node.op == "NOT" and is_total(node.operand)
-    if isinstance(node, ast.InExpr):
-        return (
-            node.subquery is None
-            and is_total(node.operand)
-            and all(is_total(item) for item in node.items or ())
-        )
-    if isinstance(node, ast.BetweenExpr):
-        return (
-            is_total(node.operand)
-            and is_total(node.low)
-            and is_total(node.high)
-        )
-    if isinstance(node, ast.LikeExpr):
-        return is_total(node.operand) and is_total(node.pattern)
-    if isinstance(node, ast.IsNullExpr):
-        return is_total(node.operand)
-    if isinstance(node, ast.CaseExpr):
-        return all(
-            is_total(condition) and is_total(result)
-            for condition, result in node.branches
-        ) and (node.default is None or is_total(node.default))
-    return False
+# -- conjuncts ----------------------------------------------------------------
 
 
 def split_conjuncts(node: ast.Expression | None) -> list[ast.Expression]:

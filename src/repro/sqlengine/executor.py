@@ -1,23 +1,23 @@
 """Query executor: binds a parsed SELECT to a database and runs it.
 
-Two execution modes share one code base:
+Two executors share one code base:
 
-* ``naive=True`` — the original reference strategy: parse per call,
-  nested-loop joins, per-row :class:`Evaluator` tree walks. Kept verbatim
-  as the semantic oracle for differential tests and benchmarks.
-* default (optimized) — the compile-and-cache strategy: each SQL text is
-  parsed, analyzed and planned once per engine (:meth:`Engine.prepare`),
-  expressions are compiled to closures, conjunctive single-table
-  predicates are pushed below joins, equi-joins run as hash
-  joins, and ``col = literal`` scans use lazy per-table indexes. Finished
-  results can be cached per (database fingerprint, normalized SQL) in a
+* the interpreter — nested-loop joins and per-row :class:`Evaluator`
+  tree walks. ``Engine(naive=True)`` runs nothing else (and parses per
+  call, with no caches): it is the semantic oracle for differential
+  tests and benchmarks.
+* the vectorized plan (:mod:`repro.sqlengine.vectorized`) — what a
+  default engine runs. Each SQL text is parsed, analyzed and planned
+  once per engine (:meth:`Engine.prepare`), and finished results can be
+  cached per (database fingerprint, normalized SQL) in a
   :class:`~repro.sqlengine.planner.QueryResultCache`.
 
-The optimized mode is required to be *byte-identical* to naive: same
-rows, same row order, same errors. Everything that cannot be proven
-equivalent statically (subqueries, unresolved names, predicates that can
-raise) falls back to the interpreted path — see
-:mod:`repro.sqlengine.compiler` for the rules.
+The vectorized plan is required to be *byte-identical* to the oracle:
+same rows, same row order, same errors. A statement it cannot prove
+equivalent (correlated sub-queries, unresolved names, expressions that
+can raise over this data) has no plan, and a plan the data defeats at
+run time is disabled; either way a default engine runs the interpreter,
+through its caches.
 """
 
 from __future__ import annotations
@@ -34,14 +34,6 @@ from .analyzer import (
     analyze_prepared,
     subquery_is_cacheable,
 )
-from .compiler import (
-    CompileError,
-    compile_grouped,
-    compile_scalar,
-    is_total,
-    resolve_column,
-    split_conjuncts,
-)
 from .errors import EmptyResultError, ExecutionError, PlanError, SqlError
 from .expressions import ColumnInfo, Evaluator, GroupContext, Scope, _truthy
 from .parser import parse_select
@@ -56,7 +48,7 @@ from .planner import (
     shared_plan_cache,
 )
 from .table import Database, Table
-from .values import SqlValue, equality_key, to_text
+from .values import SqlValue, to_text
 
 
 @dataclass
@@ -195,16 +187,16 @@ class Prepared:
 
     @property
     def plan(self):
-        """The vectorized plan (None: row path); its soundness facts come
-        from the database's statistics, hence the fingerprint guard."""
+        """The vectorized plan (None: interpreter); its soundness facts
+        and bound sub-query values come from the database, hence the
+        fingerprint guard."""
         if self._plan is _UNBUILT:
             # Imported lazily: vectorized.py reuses this module's planning
             # helpers, so a top-level import would be circular.
             from . import vectorized as vec
 
             try:
-                self._plan = vec.build_plan(self.statement,
-                                            self.engine.database)
+                self._plan = vec.build_plan(self.statement, self.engine)
             except vec.VectorizeError:
                 self._plan = None
         return self._plan
@@ -395,13 +387,7 @@ class Engine:
         """
         if self.naive:
             return self.execute_statement(statement, outer_scopes)
-        handle = self._prepared.get(id(statement))  # lint: allow-id-key
-        if handle is None or handle.statement is not statement:
-            cacheable = subquery_is_cacheable(statement, self.database)
-            key = normalize_sql(statement.to_sql()) if cacheable else None
-            handle = self._keep(self._prepared_tag,
-                                Prepared(self, None, key, statement),
-                                id(statement))  # lint: allow-id-key
+        handle = self.subquery_handle(statement)
         if self.result_cache is None:
             return self.execute_statement(statement, outer_scopes, handle)
         if handle.key is None:
@@ -417,6 +403,18 @@ class Engine:
         self.result_cache.put(cache_key, result, database=self.database)
         return result
 
+    def subquery_handle(self, statement: ast.SelectStatement) -> Prepared:
+        """The nested statement's handle; its ``key`` is None when the
+        statement is correlated (or otherwise not cacheable)."""
+        handle = self._prepared.get(id(statement))  # lint: allow-id-key
+        if handle is None or handle.statement is not statement:
+            cacheable = subquery_is_cacheable(statement, self.database)
+            key = normalize_sql(statement.to_sql()) if cacheable else None
+            handle = self._keep(self._prepared_tag,
+                                Prepared(self, None, key, statement),
+                                id(statement))  # lint: allow-id-key
+        return handle
+
     def execute_statement(
         self, statement: ast.SelectStatement, outer_scopes: list[Scope],
         handle: Prepared | None = None,
@@ -424,26 +422,20 @@ class Engine:
         """Execute a parsed statement; ``outer_scopes`` enables correlation.
 
         ``handle`` (the statement's prepared handle) supplies the
-        vectorized plan; without one the row path runs. Subqueries
-        re-enter here with live scopes.
+        vectorized plan; without one, or without a usable plan, the
+        interpreter runs. Subqueries re-enter here with live scopes.
         """
-        if self.naive:
+        attempt = (
+            self._vectorized_attempt(handle)
+            if handle is not None and self.vectorized else None
+        )
+        if attempt is not None:
+            names, tagged = attempt
+        else:
             relation = self._build_from(statement, outer_scopes)
             if statement.where is not None:
                 relation = self._filter(relation, statement.where, outer_scopes)
             names, tagged = self._project(statement, relation, outer_scopes)
-        else:
-            attempt = (
-                self._vectorized_attempt(handle)
-                if handle is not None and self.vectorized else None
-            )
-            if attempt is not None:
-                names, tagged = attempt
-            else:
-                relation = self._build_filtered(statement, outer_scopes)
-                names, tagged = self._project(
-                    statement, relation, outer_scopes
-                )
         if statement.distinct:
             tagged = _dedupe_tagged(tagged)
         if statement.order_by:
@@ -468,7 +460,7 @@ class Engine:
     # -- vectorized path -----------------------------------------------------
 
     def _vectorized_attempt(self, handle: Prepared):
-        """Run the vectorized plan if one exists; None means "use rows".
+        """Run the vectorized plan if one exists; None: interpret.
 
         A :class:`~repro.sqlengine.vectorized.FallbackNeeded` escape
         disables the plan permanently (its triggers depend only on the
@@ -489,10 +481,13 @@ class Engine:
             plan.disabled = True
             STRATEGY_COUNTERS.bump("vectorized_runtime_fallbacks")
             return None
+        except SqlError:    # the oracle's own error, raised by the plan
+            STRATEGY_COUNTERS.bump("vectorized_executions")
+            raise
         STRATEGY_COUNTERS.bump("vectorized_executions")
         return names, tagged
 
-    # -- FROM clause (naive) -----------------------------------------------
+    # -- interpreter: FROM and WHERE ---------------------------------------
 
     def _build_from(
         self, statement: ast.SelectStatement, outer_scopes: list[Scope]
@@ -556,354 +551,6 @@ class Engine:
                 kept.append(row)
         return _Relation(relation.columns, kept)
 
-    # -- FROM clause (optimized) ---------------------------------------------
-
-    def _build_filtered(
-        self, statement: ast.SelectStatement, outer_scopes: list[Scope]
-    ) -> _Relation:
-        """Scans, pushed predicates, and joins — the optimized pipeline.
-
-        Predicate pushdown and AND-splitting happen only when every
-        conjunct is *splittable*: provably non-raising (see
-        :func:`is_total`) with every column reference statically resolved.
-        Otherwise the whole WHERE tree is applied after the joins exactly
-        like the naive engine, because dropping rows early could skip (or
-        reorder past) an evaluation that would have raised.
-        """
-        if statement.from_table is None:
-            relation = _Relation([], [()])
-            if statement.where is not None:
-                relation = self._filter_predicates(
-                    relation, [statement.where], outer_scopes
-                )
-            return relation
-        refs = [statement.from_table] + [j.table for j in statement.joins]
-        tables = [self.database.table(ref.name) for ref in refs]
-        scan_columns: list[list[ColumnInfo]] = []
-        for ref, table in zip(refs, tables):
-            alias = ref.effective_alias().lower()
-            scan_columns.append(
-                [ColumnInfo(alias, n.lower(), n) for n in table.column_names]
-            )
-        all_columns = [info for cols in scan_columns for info in cols]
-        conjuncts = split_conjuncts(statement.where)
-        splittable = bool(conjuncts) and all(
-            _splittable(conj, all_columns) for conj in conjuncts
-        )
-        pushed: dict[int, list[ast.Expression]] = {}
-        residual: list[ast.Expression] = []
-        whole: ast.Expression | None = None
-        if statement.where is not None and not splittable:
-            whole = statement.where
-        elif splittable and not self._joins_tolerate_pushdown(
-            statement, scan_columns
-        ):
-            # Filtering a scan early shrinks the pair sets the later ON
-            # conditions are evaluated over; if any ON condition can raise
-            # (or resolves names lazily), that is observable. Splitting
-            # the WHERE *after* all joins is still fine.
-            residual = conjuncts
-        elif splittable:
-            offsets: list[tuple[int, int]] = []
-            start = 0
-            for cols in scan_columns:
-                offsets.append((start, start + len(cols)))
-                start += len(cols)
-            # Never push into the null-padded side of a LEFT JOIN: the
-            # WHERE clause sees NULLs there, the scan would not.
-            left_padded = {
-                index
-                for index, join in enumerate(statement.joins, start=1)
-                if join.kind == "LEFT"
-            }
-            for conj in conjuncts:
-                target = _single_scan_target(conj, all_columns, offsets)
-                if target is not None and target not in left_padded:
-                    pushed.setdefault(target, []).append(conj)
-                else:
-                    residual.append(conj)
-        if statement.joins and pushed:
-            STRATEGY_COUNTERS.bump(
-                "pushed_predicates", sum(len(v) for v in pushed.values())
-            )
-        relation = self._scan_filtered(
-            tables[0], scan_columns[0], pushed.get(0, []), outer_scopes
-        )
-        for index, join in enumerate(statement.joins, start=1):
-            right = self._scan_filtered(
-                tables[index], scan_columns[index],
-                pushed.get(index, []), outer_scopes,
-            )
-            relation = self._join_planned(relation, right, join, outer_scopes)
-        if whole is not None:
-            relation = self._filter_predicates(relation, [whole], outer_scopes)
-        elif residual:
-            relation = self._filter_predicates(relation, residual, outer_scopes)
-        return relation
-
-    def _joins_tolerate_pushdown(
-        self,
-        statement: ast.SelectStatement,
-        scan_columns: list[list[ColumnInfo]],
-    ) -> bool:
-        """True when every join condition is itself splittable.
-
-        Pushdown below a join is only transparent when no ON condition can
-        raise: each condition must be total with statically resolved
-        columns (checked against the cumulative relation it will see).
-        """
-        cumulative = list(scan_columns[0])
-        for index, join in enumerate(statement.joins, start=1):
-            cumulative.extend(scan_columns[index])
-            if join.kind == "CROSS" or join.condition is None:
-                continue
-            for conj in split_conjuncts(join.condition):
-                if not _splittable(conj, cumulative):
-                    return False
-        return True
-
-    def _scan_filtered(
-        self,
-        table: Table,
-        columns: list[ColumnInfo],
-        conjuncts: list[ast.Expression],
-        outer_scopes: list[Scope],
-    ) -> _Relation:
-        """Scan one table, applying pushed-down predicates during the scan.
-
-        A ``col = literal`` conjunct is answered from the table's lazy
-        equality index when the index can honour ``compare_values``
-        semantics (it declines NaN); remaining conjuncts run as compiled
-        predicates. Row order is always the table's row order.
-        """
-        if not conjuncts:
-            return _Relation(columns, table.rows)
-        rest = list(conjuncts)
-        rows: list[tuple[SqlValue, ...]] | None = None
-        for conj in conjuncts:
-            probe = _index_probe(conj)
-            if probe is None:
-                continue
-            ref, value = probe
-            if value is None or not table.has_column(ref.name):
-                continue
-            positions = table.equality_rows(ref.name, value)
-            if positions is None:
-                continue
-            rows = [table.rows[i] for i in positions]
-            rest.remove(conj)
-            STRATEGY_COUNTERS.bump("indexed_scans")
-            break
-        source = rows if rows is not None else table.rows
-        if rest:
-            predicates = [
-                self._row_fn(conj, columns, outer_scopes) for conj in rest
-            ]
-            kept = []
-            for row in source:
-                for predicate in predicates:
-                    value = predicate(row)
-                    if value is None or not _truthy(value):
-                        break
-                else:
-                    kept.append(row)
-            source = kept
-        return _Relation(columns, source)
-
-    def _join_planned(
-        self,
-        left: _Relation,
-        right: _Relation,
-        join: ast.Join,
-        outer_scopes: list[Scope],
-    ) -> _Relation:
-        columns = left.columns + right.columns
-        if join.kind == "CROSS" or join.condition is None:
-            STRATEGY_COUNTERS.bump("cross_joins")
-            rows = [
-                left_row + right_row
-                for left_row in left.rows
-                for right_row in right.rows
-            ]
-            return _Relation(columns, rows)
-        conjuncts = split_conjuncts(join.condition)
-        if all(_splittable(conj, columns) for conj in conjuncts):
-            equi: list[tuple[int, int]] = []
-            residual: list[ast.Expression] = []
-            for conj in conjuncts:
-                pair = _equi_pair(conj, columns, len(left.columns))
-                if pair is not None:
-                    equi.append(pair)
-                else:
-                    residual.append(conj)
-            if equi:
-                hashed = self._hash_join(
-                    left, right, join, columns, equi, residual, outer_scopes
-                )
-                if hashed is not None:
-                    return hashed
-        # Nested loop with a compiled (or interpreted) whole condition.
-        STRATEGY_COUNTERS.bump("nested_loop_joins")
-        predicate = self._row_fn(join.condition, columns, outer_scopes)
-        rows = []
-        null_right = (None,) * len(right.columns)
-        for left_row in left.rows:
-            matched = False
-            for right_row in right.rows:
-                combined = left_row + right_row
-                value = predicate(combined)
-                if value is not None and _truthy(value):
-                    matched = True
-                    rows.append(combined)
-            if join.kind == "LEFT" and not matched:
-                rows.append(left_row + null_right)
-        return _Relation(columns, rows)
-
-    def _hash_join(
-        self,
-        left: _Relation,
-        right: _Relation,
-        join: ast.Join,
-        columns: list[ColumnInfo],
-        equi: list[tuple[int, int]],
-        residual: list[ast.Expression],
-        outer_scopes: list[Scope],
-    ) -> _Relation | None:
-        """Build-on-right, probe-in-left-order hash join.
-
-        NULL join keys never match (the rows fall out, or null-pad under
-        LEFT), exactly as the nested loop's three-valued ``=`` would have
-        it. Returns None when a key value defeats hashing (NaN) so the
-        caller can fall back to the nested loop. Row order matches the
-        nested loop: left order outer, right order within a bucket.
-        """
-        left_width = len(left.columns)
-        left_positions = [lp for lp, _ in equi]
-        right_positions = [rp - left_width for _, rp in equi]
-        buckets: dict[tuple, list[tuple[SqlValue, ...]]] = {}
-        for right_row in right.rows:
-            key = _join_key(right_row, right_positions)
-            if key is _NAN_KEY:
-                return None
-            if key is not None:
-                buckets.setdefault(key, []).append(right_row)
-        predicates = [
-            self._row_fn(conj, columns, outer_scopes) for conj in residual
-        ]
-        rows: list[tuple[SqlValue, ...]] = []
-        null_right = (None,) * len(right.columns)
-        for left_row in left.rows:
-            matched = False
-            key = _join_key(left_row, left_positions)
-            if key is _NAN_KEY:
-                return None
-            if key is not None:
-                for right_row in buckets.get(key, ()):
-                    combined = left_row + right_row
-                    for predicate in predicates:
-                        value = predicate(combined)
-                        if value is None or not _truthy(value):
-                            break
-                    else:
-                        matched = True
-                        rows.append(combined)
-            if join.kind == "LEFT" and not matched:
-                rows.append(left_row + null_right)
-        STRATEGY_COUNTERS.bump("hash_joins")
-        return _Relation(columns, rows)
-
-    def _filter_predicates(
-        self,
-        relation: _Relation,
-        conjuncts: list[ast.Expression],
-        outer_scopes: list[Scope],
-    ) -> _Relation:
-        """Keep rows on which every conjunct is non-NULL truthy.
-
-        For a single conjunct this is exactly the naive ``_filter``; for
-        several (all total, by construction) the decomposition is sound
-        because ``A AND B`` filters a row through iff both conjuncts do.
-        """
-        predicates = [
-            self._row_fn(conj, relation.columns, outer_scopes)
-            for conj in conjuncts
-        ]
-        kept: list[tuple[SqlValue, ...]] = []
-        for row in relation.rows:
-            for predicate in predicates:
-                value = predicate(row)
-                if value is None or not _truthy(value):
-                    break
-            else:
-                kept.append(row)
-        return _Relation(relation.columns, kept)
-
-    # -- compiled/interpreted expression plumbing ----------------------------
-
-    def _row_fn(
-        self,
-        expression: ast.Expression,
-        columns: list[ColumnInfo],
-        outer_scopes: list[Scope],
-    ):
-        """A row → value callable: compiled when possible, else interpreted."""
-        if not self.naive:
-            try:
-                fn = compile_scalar(expression, columns)
-            except CompileError:
-                STRATEGY_COUNTERS.bump("interpreted_fallbacks")
-            else:
-                STRATEGY_COUNTERS.bump("compiled_expressions")
-                return fn
-        evaluator = self._evaluator
-
-        def interpret(row: tuple[SqlValue, ...]) -> SqlValue:
-            return evaluator.evaluate(
-                expression, [Scope(columns, row)] + outer_scopes
-            )
-        return interpret
-
-    def _grouped_fn(
-        self,
-        expression: ast.Expression,
-        columns: list[ColumnInfo],
-        outer_scopes: list[Scope],
-    ):
-        """A (group_rows, representative_row) → value callable.
-
-        The compiled form cannot represent an *empty* group (the
-        evaluator's representative scope disappears and bare columns may
-        resolve outward or fail lazily), so empty groups — which only
-        occur for global aggregates over empty relations — always take the
-        interpreted branch.
-        """
-        fast = None
-        if not self.naive:
-            try:
-                fast = compile_grouped(expression, columns)
-            except CompileError:
-                STRATEGY_COUNTERS.bump("interpreted_fallbacks")
-            else:
-                STRATEGY_COUNTERS.bump("compiled_expressions")
-        evaluator = self._evaluator
-
-        def interpret(rows, representative):
-            context = GroupContext(columns, rows)
-            scopes = (
-                [Scope(columns, representative)]
-                if representative is not None else []
-            ) + outer_scopes
-            return evaluator.evaluate(expression, scopes, context)
-
-        if fast is None:
-            return interpret
-
-        def run(rows, representative):
-            if representative is None:
-                return interpret(rows, representative)
-            return fast((rows, representative))
-        return run
-
     # -- projection --------------------------------------------------------
 
     def _execute_plain(
@@ -916,36 +563,18 @@ class Engine:
         order_items = _resolve_order_items(statement, items)
         names = [item.output_name() for item in items]
         tagged: list[tuple[tuple[SqlValue, ...], tuple]] = []
-        if self.naive:
-            for row in relation.rows:
-                scope = Scope(relation.columns, row)
-                scopes = [scope] + outer_scopes
-                output = tuple(
-                    self._evaluator.evaluate(item.expression, scopes)
-                    for item in items
-                )
-                keys = tuple(
-                    _sort_key(
-                        self._evaluator.evaluate(order.expression, scopes),
-                        order.descending,
-                    )
-                    for order in order_items
-                )
-                tagged.append((output, keys))
-            return names, tagged
-        item_fns = [
-            self._row_fn(item.expression, relation.columns, outer_scopes)
-            for item in items
-        ]
-        order_fns = [
-            (self._row_fn(order.expression, relation.columns, outer_scopes),
-             order.descending)
-            for order in order_items
-        ]
         for row in relation.rows:
-            output = tuple(fn(row) for fn in item_fns)
+            scopes = [Scope(relation.columns, row)] + outer_scopes
+            output = tuple(
+                self._evaluator.evaluate(item.expression, scopes)
+                for item in items
+            )
             keys = tuple(
-                _sort_key(fn(row), descending) for fn, descending in order_fns
+                _sort_key(
+                    self._evaluator.evaluate(order.expression, scopes),
+                    order.descending,
+                )
+                for order in order_items
             )
             tagged.append((output, keys))
         return names, tagged
@@ -963,61 +592,28 @@ class Engine:
         groups = self._group_rows(statement, relation, outer_scopes)
         names = [item.output_name() for item in items]
         tagged: list[tuple[tuple[SqlValue, ...], tuple]] = []
-        if self.naive:
-            for group_rows in groups:
-                context = GroupContext(relation.columns, group_rows)
-                representative = (
-                    [Scope(relation.columns, group_rows[0])]
-                    if group_rows else []
-                )
-                scopes = representative + outer_scopes
-                if statement.having is not None:
-                    value = self._evaluator.evaluate(
-                        statement.having, scopes, context
-                    )
-                    if value is None or not _truthy(value):
-                        continue
-                output = tuple(
-                    self._evaluator.evaluate(item.expression, scopes, context)
-                    for item in items
-                )
-                keys = tuple(
-                    _sort_key(
-                        self._evaluator.evaluate(
-                            order.expression, scopes, context
-                        ),
-                        order.descending,
-                    )
-                    for order in order_items
-                )
-                tagged.append((output, keys))
-            return names, tagged
-        item_fns = [
-            self._grouped_fn(item.expression, relation.columns, outer_scopes)
-            for item in items
-        ]
-        having_fn = (
-            self._grouped_fn(statement.having, relation.columns, outer_scopes)
-            if statement.having is not None else None
-        )
-        order_fns = [
-            (self._grouped_fn(
-                order.expression, relation.columns, outer_scopes
-            ), order.descending)
-            for order in order_items
-        ]
         for group_rows in groups:
-            representative = group_rows[0] if group_rows else None
-            if having_fn is not None:
-                value = having_fn(group_rows, representative)
+            context = GroupContext(relation.columns, group_rows)
+            representative = (
+                [Scope(relation.columns, group_rows[0])] if group_rows else []
+            )
+            scopes = representative + outer_scopes
+            if statement.having is not None:
+                value = self._evaluator.evaluate(
+                    statement.having, scopes, context
+                )
                 if value is None or not _truthy(value):
                     continue
             output = tuple(
-                fn(group_rows, representative) for fn in item_fns
+                self._evaluator.evaluate(item.expression, scopes, context)
+                for item in items
             )
             keys = tuple(
-                _sort_key(fn(group_rows, representative), descending)
-                for fn, descending in order_fns
+                _sort_key(
+                    self._evaluator.evaluate(order.expression, scopes, context),
+                    order.descending,
+                )
+                for order in order_items
             )
             tagged.append((output, keys))
         return names, tagged
@@ -1032,22 +628,12 @@ class Engine:
             # A single group covering the whole relation (global aggregate).
             return [relation.rows]
         buckets: dict[tuple[SqlValue, ...], list[tuple[SqlValue, ...]]] = {}
-        if self.naive:
-            for row in relation.rows:
-                scope = Scope(relation.columns, row)
-                scopes = [scope] + outer_scopes
-                key = tuple(
-                    self._evaluator.evaluate(expr, scopes)
-                    for expr in statement.group_by
-                )
-                buckets.setdefault(key, []).append(row)
-            return list(buckets.values())
-        key_fns = [
-            self._row_fn(expr, relation.columns, outer_scopes)
-            for expr in statement.group_by
-        ]
         for row in relation.rows:
-            key = tuple(fn(row) for fn in key_fns)
+            scopes = [Scope(relation.columns, row)] + outer_scopes
+            key = tuple(
+                self._evaluator.evaluate(expr, scopes)
+                for expr in statement.group_by
+            )
             buckets.setdefault(key, []).append(row)
         return list(buckets.values())
 
@@ -1096,7 +682,7 @@ def _expand_select_items(
 
     Module-level (statement + column metadata only) so the vectorized
     compiler shares the exact expansion — including the error for an
-    unknown ``table.*`` — with both row-engine modes.
+    unknown ``table.*`` — with the interpreter.
     """
     expanded: list[ast.SelectItem] = []
     for item in statement.items:
@@ -1150,105 +736,6 @@ def _resolve_order_items(
             expression = aliases[expression.name.lower()]
         resolved.append(ast.OrderItem(expression, order.descending))
     return resolved
-
-
-def _splittable(conj: ast.Expression, columns: list[ColumnInfo]) -> bool:
-    """True when the planner may evaluate this conjunct out of tree order.
-
-    Requires both totality (no node can raise — :func:`is_total`) and
-    static resolution of every column reference: an ambiguous or unknown
-    name raises *lazily* in the naive engine (only for rows it actually
-    evaluates), which splitting could otherwise mask or surface early.
-    """
-    if not is_total(conj):
-        return False
-    for node in ast.walk_expressions(conj):
-        if isinstance(node, ast.ColumnRef):
-            try:
-                resolve_column(columns, node.name, node.table)
-            except CompileError:
-                return False
-    return True
-
-
-def _single_scan_target(
-    conj: ast.Expression,
-    all_columns: list[ColumnInfo],
-    offsets: list[tuple[int, int]],
-) -> int | None:
-    """The single scan this conjunct's columns all come from, if any."""
-    target: int | None = None
-    saw_column = False
-    for node in ast.walk_expressions(conj):
-        if not isinstance(node, ast.ColumnRef):
-            continue
-        saw_column = True
-        position = resolve_column(all_columns, node.name, node.table)
-        scan = next(
-            index for index, (start, end) in enumerate(offsets)
-            if start <= position < end
-        )
-        if target is None:
-            target = scan
-        elif target != scan:
-            return None
-    return target if saw_column else None
-
-
-def _index_probe(
-    conj: ast.Expression,
-) -> tuple[ast.ColumnRef, SqlValue] | None:
-    """Match ``col = literal`` / ``literal = col`` for index lookups."""
-    if isinstance(conj, ast.BinaryOp) and conj.op == "=":
-        if isinstance(conj.left, ast.ColumnRef) and isinstance(
-            conj.right, ast.Literal
-        ):
-            return conj.left, conj.right.value
-        if isinstance(conj.right, ast.ColumnRef) and isinstance(
-            conj.left, ast.Literal
-        ):
-            return conj.right, conj.left.value
-    return None
-
-
-def _equi_pair(
-    conj: ast.Expression, columns: list[ColumnInfo], left_width: int
-) -> tuple[int, int] | None:
-    """Match ``left_col = right_col`` across the join boundary."""
-    if not (isinstance(conj, ast.BinaryOp) and conj.op == "="):
-        return None
-    if not (isinstance(conj.left, ast.ColumnRef)
-            and isinstance(conj.right, ast.ColumnRef)):
-        return None
-    try:
-        a = resolve_column(columns, conj.left.name, conj.left.table)
-        b = resolve_column(columns, conj.right.name, conj.right.table)
-    except CompileError:
-        return None
-    if a < left_width <= b:
-        return (a, b)
-    if b < left_width <= a:
-        return (b, a)
-    return None
-
-
-#: Sentinel distinguishing "row has a NaN key" (hashing unsound, caller
-#: must use the nested loop) from "row has a NULL key" (row simply does
-#: not participate in matches).
-_NAN_KEY = object()
-
-
-def _join_key(row: tuple[SqlValue, ...], positions: list[int]):
-    parts = []
-    for position in positions:
-        value = row[position]
-        if value is None:
-            return None
-        part = equality_key(value)
-        if part is None:
-            return _NAN_KEY
-        parts.append(part)
-    return tuple(parts)
 
 
 def _dedupe_tagged(

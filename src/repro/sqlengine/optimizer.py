@@ -4,7 +4,7 @@ The optimizer is deliberately *decision-only*: it consumes exact
 statistics (:mod:`repro.sqlengine.stats`) plus the analyzer's statically
 resolved column references, and produces choices — it never touches
 data. The vectorized compiler (:mod:`repro.sqlengine.vectorized`)
-executes whatever is chosen here, and the row engine remains the
+executes whatever is chosen here, and the interpreter remains the
 fallback for anything the vectorized path declines.
 
 Decisions made, in plan order:
@@ -15,9 +15,8 @@ Decisions made, in plan order:
   selection-mask scan.
 * **Conjunct order** per filter site: estimated selectivity ascending,
   original position as the deterministic tie-break. Reordering is
-  semantically free because only *total* conjuncts (see
-  :func:`repro.sqlengine.analyzer.is_total`) ever reach the vectorized
-  path.
+  semantically free because only conjuncts the vectorized compiler
+  proves *total* (unable to raise over this data) ever reach it.
 * **Hash-join build side** per INNER equi-join: build on the estimated
   smaller input. A left-side build probes in right order, so the
   executor restores output order by sorting (left, right) index pairs;

@@ -19,8 +19,8 @@ This module is the bookkeeping half of the compile-and-cache engine:
   :meth:`Database.content_fingerprint` — a content hash that *is* stable
   across processes — so results survive restarts.
 * :class:`StrategyCounters` — process-wide counters for which execution
-  strategies fired (hash vs nested-loop joins, pushed predicates, indexed
-  scans, compiled vs interpreted expressions, result-cache traffic).
+  strategies fired (vectorized vs interpreted executions, hash joins,
+  pushed predicates, indexed scans, result-cache traffic).
   Surfaced in ``/stats`` and in report renderings via
   :func:`engine_stats`.
 
@@ -230,12 +230,9 @@ class QueryResultCache(_Facade):
 
 _STRATEGY_NAMES = (
     "hash_joins",
-    "nested_loop_joins",
     "cross_joins",
     "pushed_predicates",
     "indexed_scans",
-    "compiled_expressions",
-    "interpreted_fallbacks",
     "result_cache_hits",
     "result_cache_misses",
     "subquery_cache_hits",

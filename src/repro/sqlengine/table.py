@@ -8,9 +8,9 @@ dataset generators and by the agent's ``unique_column_values`` tool.
 Storage is *columnar*: a table holds one value array per column, which is
 what the vectorized executor scans, filters, and aggregates over without
 ever materializing row tuples. The classic ``rows`` tuple view survives as
-a memoized compatibility property — the naive oracle engine, the row-wise
-compiled path, prompt rendering, and every pre-columnar caller keep
-working unchanged. Whichever representation a table was *constructed*
+a memoized compatibility property — the interpreter (and with it the
+naive oracle engine), prompt rendering, and every pre-columnar caller
+keep working unchanged. Whichever representation a table was *constructed*
 from is stored as-is; the other is pivoted lazily on first use, so a
 table that only ever feeds the vectorized path never pays for row tuples
 and a table that only feeds prompts never pays for column arrays.

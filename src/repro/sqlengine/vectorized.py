@@ -1,23 +1,34 @@
 """Vectorized (columnar) execution: batch operators over column arrays.
 
-This is the engine's fastest path. Where the compiled row path runs a
-closure tree once per row tuple, the vectorized path compiles each
-expression into a *batch operator* that produces a whole column of
-results in one list comprehension, and runs the relational pipeline as
-selection vectors and index gathers over :meth:`Table.column_array`
-storage — no row tuples are materialized until the final projection.
+This is the engine's execution path. Each expression compiles into a
+*batch operator* that produces a whole column of results in one list
+comprehension, and the relational pipeline runs as selection vectors
+and index gathers over :meth:`Table.column_array` storage — no row
+tuples are materialized until the final projection.
 
-The byte-identity contract with the naive oracle is inherited from the
-row path and enforced the same way: anything not *provably* equivalent
-is rejected at plan time (:class:`VectorizeError`) or at run time
-(:class:`FallbackNeeded`), and the executor silently runs the row path
-instead. The vectorized compiler's totality judgment is strictly wider
-than the analyzer's :func:`~repro.sqlengine.analyzer.is_total` because
-it is *data-backed*: tables are immutable and the statistics layer
+The byte-identity contract with the naive oracle is enforced by refusal:
+anything not *provably* equivalent is rejected at plan time
+(:class:`VectorizeError`) or at run time (:class:`FallbackNeeded`), and
+the executor runs the interpreter (the same tree walk as
+``Engine(naive=True)``) instead. The totality judgment is *data-backed*:
+tables are immutable and the statistics layer
 (:mod:`repro.sqlengine.stats`) records exact per-column value classes,
 so e.g. arithmetic or ``SUM`` over a column whose every stored value is
 a finite number is provably unable to raise, even though the same
-expression over an arbitrary column could.
+expression over an arbitrary column could. The one deliberate raise is
+a lone ``SUM``/``AVG`` over a non-numeric argument that every group
+evaluates: the plan raises the interpreter's own error, at the same
+group.
+
+Uncorrelated sub-queries are bound at plan time: each one runs once
+through :meth:`Engine.execute_subquery` and enters the plan as a
+constant, visible to the totality proofs like a literal. A sub-query
+that does not raise is a pure function of the database, and plans die
+with the database fingerprint, so evaluating it eagerly is
+unobservable; one that raises (or a scalar one with several rows)
+rejects the plan, leaving the interpreter to raise lazily exactly where
+the oracle would. A SELECT without FROM is a one-row relation with no
+columns.
 
 Value-class ("klass") lattice carried on every compiled node:
 
@@ -51,22 +62,16 @@ spans.
 
 from __future__ import annotations
 
+import math
 import operator
 
 from . import ast_nodes as ast
-from .compiler import (
-    _ARITHMETIC_OPS,
-    CompileError,
-    resolve_column,
-    split_conjuncts,
-)
-from .errors import PlanError
+from .analyzer import split_conjuncts
+from .errors import ExecutionError, PlanError
 from .executor import (
-    _equi_pair,
+    Engine,
     _expand_select_items,
-    _index_probe,
     _resolve_order_items,
-    _single_scan_target,
     _sort_key,
 )
 from .expressions import ColumnInfo, _like_to_regex, _truthy
@@ -93,16 +98,65 @@ from .values import (
 
 
 class VectorizeError(Exception):
-    """Statement not vectorizable; the executor keeps the row path."""
+    """Statement not vectorizable; the executor runs the interpreter."""
+
+
+class CompileError(Exception):
+    """A column reference that does not resolve to exactly one column."""
 
 
 class FallbackNeeded(Exception):
-    """Data defeated this plan at run time (NaN keys, empty global group).
+    """Data defeated this plan at run time (NaN join keys, or a bare
+    column over an empty global group).
 
     Both triggers are pure functions of the (immutable) table contents,
     so the executor permanently disables the plan for this database
     fingerprint rather than re-attempting every call.
     """
+
+
+def resolve_column(
+    columns: list[ColumnInfo], name: str, table: str | None
+) -> int:
+    """Resolve a column reference to a unique position, or CompileError.
+
+    Mirrors :meth:`Scope.resolve` matching rules, but treats both misses
+    (the evaluator would try outer scopes or raise lazily) and ambiguity
+    (the evaluator raises per-row) as "not plannable" so the interpreter
+    reproduces the reference behaviour exactly.
+    """
+    name_lower = name.lower()
+    table_lower = table.lower() if table else None
+    matches = [
+        index
+        for index, info in enumerate(columns)
+        if info.name == name_lower
+        and (table_lower is None or info.table == table_lower)
+    ]
+    if len(matches) != 1:
+        raise CompileError(f"cannot statically resolve column {name!r}")
+    return matches[0]
+
+
+def _div(left_num, right_num):
+    if right_num == 0:
+        raise ExecutionError("division by zero")
+    return left_num / right_num
+
+
+def _mod(left_num, right_num):
+    if right_num == 0:
+        raise ExecutionError("modulo by zero")
+    return left_num % right_num
+
+
+_ARITHMETIC_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": _div,
+    "%": _mod,
+}
 
 
 # -- value-class lattice ------------------------------------------------------
@@ -266,14 +320,16 @@ class BNode:
 
 
 class _Schema:
-    """Compile-time column environment: metadata plus soundness facts."""
+    """Compile-time column environment: metadata plus soundness facts,
+    and ``bind`` — the plan's sub-query binder (statement -> result)."""
 
-    __slots__ = ("columns", "klasses", "nonzero")
+    __slots__ = ("columns", "klasses", "nonzero", "bind")
 
-    def __init__(self, columns, klasses, nonzero) -> None:
+    def __init__(self, columns, klasses, nonzero, bind) -> None:
         self.columns = columns
         self.klasses = klasses
         self.nonzero = nonzero
+        self.bind = bind
 
     @classmethod
     def concat(cls, first: "_Schema", second: "_Schema") -> "_Schema":
@@ -281,10 +337,13 @@ class _Schema:
             first.columns + second.columns,
             first.klasses + second.klasses,
             first.nonzero + second.nonzero,
+            first.bind,
         )
 
 
-def _scan_schema(table: Table, alias: str) -> tuple[_Schema, list[ColumnStats]]:
+def _scan_schema(
+    table: Table, alias: str, bind
+) -> tuple[_Schema, list[ColumnStats]]:
     stats = table_stats(table)
     columns = [
         ColumnInfo(alias, name.lower(), name) for name in table.column_names
@@ -300,7 +359,7 @@ def _scan_schema(table: Table, alias: str) -> tuple[_Schema, list[ColumnStats]]:
         )
         for s in per_column
     ]
-    return _Schema(columns, klasses, nonzero), per_column
+    return _Schema(columns, klasses, nonzero, bind), per_column
 
 
 def _selection(node: BNode, env) -> list[int]:
@@ -361,23 +420,26 @@ def _compile(node: ast.Expression, schema: _Schema, aggs) -> BNode:
     return handler(node, schema, aggs)
 
 
-def _b_literal(node: ast.Literal, schema, aggs) -> BNode:
-    value = node.value
+def _const_node(value: SqlValue) -> BNode:
+    """A constant (literal or bound sub-query value) with its class."""
     if value is None:
         klass = "empty"
     elif isinstance(value, bool):
         klass = "bool"
     elif isinstance(value, (int, float)):
-        # The parser only produces finite numeric literals.
-        klass = "num"
+        klass = "num" if _finite_number(value) else "numx"
     elif isinstance(value, str):
         klass = "text" if coerce_numeric(value) is None else "other"
     else:  # pragma: no cover - SqlValue is closed over these types
         klass = "other"
-    nonzero = isinstance(value, (int, float)) and not isinstance(
-        value, bool
-    ) and value != 0
+    # NULL divides nothing: the NULL check comes before the zero check.
+    nonzero = value is None or isinstance(value, (int, float)) and not (
+        isinstance(value, bool)) and value != 0
     return BNode(lambda env: Const(value), klass, nonzero)
+
+
+def _b_literal(node: ast.Literal, schema, aggs) -> BNode:
+    return _const_node(node.value)
 
 
 def _b_column(node: ast.ColumnRef, schema, aggs) -> BNode:
@@ -464,7 +526,7 @@ def _b_binary(node: ast.BinaryOp, schema, aggs) -> BNode:
 
 
 def _logic3(x, y, want_and: bool):
-    """Three-valued AND/OR over raw values, matching the compiled closures."""
+    """Three-valued AND/OR over raw values, matching the evaluator."""
     if want_and:
         if x is not None and not _truthy(x):
             return False
@@ -535,13 +597,15 @@ def _b_function(node: ast.FunctionCall, schema, aggs) -> BNode:
     return BNode(run, klass, nonzero)
 
 
-def _literal_finite_number(node: ast.Expression) -> bool:
+def _finite_number(value: SqlValue) -> bool:
     return (
-        isinstance(node, ast.Literal)
-        and isinstance(node.value, (int, float))
-        and not isinstance(node.value, bool)
-        and node.value == node.value  # not NaN (parser never emits one)
+        isinstance(value, int) and not isinstance(value, bool)
+        or isinstance(value, float) and math.isfinite(value)
     )
+
+
+def _literal_finite_number(node: ast.Expression) -> bool:
+    return isinstance(node, ast.Literal) and _finite_number(node.value)
 
 
 def _b_aggregate(node: ast.AggregateCall, schema, aggs) -> BNode:
@@ -555,21 +619,16 @@ def _b_aggregate(node: ast.AggregateCall, schema, aggs) -> BNode:
 
 
 def _b_in(node: ast.InExpr, schema, aggs) -> BNode:
-    if node.subquery is not None:
-        raise VectorizeError("IN subquery")
     operand = _compile(node.operand, schema, aggs)
-    items = [_compile(item, schema, aggs) for item in node.items or ()]
     negated = node.negated
-    const_values = None
-    if all(isinstance(item, ast.Literal) for item in node.items or ()):
+    if node.subquery is not None:
+        const_values = [row[0] for row in schema.bind(node.subquery).rows]
+    elif all(isinstance(item, ast.Literal) for item in node.items or ()):
         const_values = [item.value for item in node.items or ()]
-    if (
-        const_values is not None
-        and _num_ok(operand.klass)
-        and all(
-            value is None or _literal_finite_number(ast.Literal(value))
-            for value in const_values
-        )
+    else:
+        return _b_in_items(node, operand, schema, aggs)
+    if _num_ok(operand.klass) and all(
+        value is None or _finite_number(value) for value in const_values
     ):
         # Numeric operand vs numeric/NULL literals: set membership agrees
         # with compare_values (Python unifies int/float hash equality).
@@ -590,6 +649,19 @@ def _b_in(node: ast.InExpr, schema, aggs) -> BNode:
                 for v in values
             ]
         return BNode(run_fast, "bool")
+
+    def run_const(env):
+        values = operand.run(env)
+        if isinstance(values, Const):
+            return Const(_in_scalar(values.value, const_values, negated))
+        return [_in_scalar(v, const_values, negated) for v in values]
+    return BNode(run_const, "bool")
+
+
+def _b_in_items(node: ast.InExpr, operand: BNode, schema, aggs) -> BNode:
+    """``IN`` over a list with non-literal items, evaluated per row."""
+    items = [_compile(item, schema, aggs) for item in node.items or ()]
+    negated = node.negated
 
     def run(env):
         values = operand.run(env)
@@ -767,8 +839,16 @@ def _b_star(node: ast.Star, schema, aggs) -> BNode:
     raise VectorizeError("bare '*' outside select-list expansion")
 
 
-def _b_subquery(node, schema, aggs) -> BNode:
-    raise VectorizeError("subqueries are not vectorizable")
+def _b_scalar_subquery(node: ast.ScalarSubquery, schema, aggs) -> BNode:
+    rows = schema.bind(node.query).rows
+    if len(rows) > 1:
+        raise VectorizeError("scalar sub-query returned several rows")
+    return _const_node(rows[0][0] if rows else None)
+
+
+def _b_exists(node: ast.ExistsExpr, schema, aggs) -> BNode:
+    found = bool(schema.bind(node.query).rows) != node.negated
+    return BNode(lambda env: Const(found), "bool")
 
 
 _BATCH_COMPILERS = {
@@ -785,8 +865,8 @@ _BATCH_COMPILERS = {
     ast.IsNullExpr: _b_is_null,
     ast.CaseExpr: _b_case,
     ast.CastExpr: _b_cast,
-    ast.ScalarSubquery: _b_subquery,
-    ast.ExistsExpr: _b_subquery,
+    ast.ScalarSubquery: _b_scalar_subquery,
+    ast.ExistsExpr: _b_exists,
 }
 
 
@@ -838,7 +918,7 @@ class CompiledSelect:
     __slots__ = (
         "statement", "scans", "joins", "where_nodes", "grouped", "names",
         "item_nodes", "order_nodes", "having_node", "group_key_nodes",
-        "agg_specs", "pushed_count", "summary", "disabled",
+        "agg_specs", "bare_columns", "pushed_count", "summary", "disabled",
     )
 
     def __init__(self) -> None:
@@ -849,7 +929,10 @@ class CompiledSelect:
     def run(self) -> tuple[list[str], list[tuple[tuple, tuple]]]:
         if self.pushed_count:
             STRATEGY_COUNTERS.bump("pushed_predicates", self.pushed_count)
-        batch = self._run_scan(self.scans[0])
+        if not self.scans:
+            batch = Batch([], [], 1, [])    # SELECT without FROM: one row
+        else:
+            batch = self._run_scan(self.scans[0])
         for plan, scan in zip(self.joins, self.scans[1:]):
             batch = self._run_join(plan, batch, self._run_scan(scan))
         for node in self.where_nodes:
@@ -872,7 +955,7 @@ class CompiledSelect:
                 batch = gather_batch(batch, positions)
                 start = 1
             # else: the column defeats hashing (NaN); nodes[0] runs as a
-            # plain mask below, which is exactly what the row path does.
+            # plain mask below.
         for node in nodes[start:]:
             batch = _filter_batch(batch, node)
         return batch
@@ -950,7 +1033,8 @@ class CompiledSelect:
     def _run_plain(self, batch: Batch):
         n = batch.length
         item_arrays = [_expand(node.run(batch), n) for node in self.item_nodes]
-        outputs = list(zip(*item_arrays))
+        # No items (``SELECT *`` without FROM) still yields n empty rows.
+        outputs = list(zip(*item_arrays)) if item_arrays else [()] * n
         tagged = _tag(outputs, self.order_nodes, batch, n)
         return self.names, tagged
 
@@ -958,17 +1042,18 @@ class CompiledSelect:
         n = batch.length
         if self.group_key_nodes:
             groups = _group_positions(self.group_key_nodes, batch)
-        elif n == 0:
-            # A global aggregate over an empty relation: the row path's
-            # interpreted empty-group branch is the semantic reference
-            # (bare columns resolve outward there); don't reproduce it.
-            raise FallbackNeeded("global aggregate over an empty relation")
+        elif n == 0 and self.bare_columns:
+            # A bare column over an empty global group resolves outward
+            # in the interpreter (or raises there); don't reproduce it.
+            raise FallbackNeeded("bare column over an empty global group")
         else:
             groups = [list(range(n))]
         agg_arrays: list[list] = [None] * len(self.agg_specs)  # type: ignore[list-item]
         for spec in self.agg_specs:
             agg_arrays[spec.slot] = _run_aggregate(spec, groups, batch, n)
-        representatives = [group[0] for group in groups]
+        # The one possible empty group reads no bare column, so its
+        # (lazily gathered) representative row is never loaded.
+        representatives = [group[0] if group else 0 for group in groups]
         env = _GroupEnv(gather_batch(batch, representatives), agg_arrays)
         if self.having_node is not None:
             selected = _selection(self.having_node, env)
@@ -1005,7 +1090,7 @@ def _group_positions(key_nodes: list[BNode], batch: Batch) -> list[list[int]]:
     n = batch.length
     buckets: dict = {}
     if len(key_nodes) == 1:
-        # Raw values bucket exactly like the row path's 1-tuples: tuple
+        # Raw values bucket exactly like the interpreter's 1-tuples: tuple
         # equality is elementwise, and dicts apply the same identity
         # shortcut (NaN groups by object) either way.
         for index, key in enumerate(_expand(key_nodes[0].run(batch), n)):
@@ -1078,15 +1163,28 @@ def _join_keys(batch: Batch, positions: list[int], fast: bool) -> list:
 
 # -- plan construction --------------------------------------------------------
 
-def build_plan(statement: ast.SelectStatement, database: Database) -> CompiledSelect:
+def build_plan(statement: ast.SelectStatement, engine: Engine) -> CompiledSelect:
     """Compile a statement into a vectorized plan, or raise VectorizeError.
 
-    Every rejection reason maps onto behaviour only the row path can
-    reproduce (subqueries, lazily raised name errors, expressions not
-    provably total over this exact data); the caller falls back there.
+    Every rejection reason maps onto behaviour only the interpreter can
+    reproduce (correlated or raising sub-queries, lazily raised name
+    errors, expressions not provably total over this exact data); the
+    caller falls back there. ``engine`` runs the uncorrelated
+    sub-queries the plan binds as constants.
     """
+    database = engine.database
+
+    def bind(query: ast.SelectStatement):
+        if engine.subquery_handle(query).key is None:
+            raise VectorizeError("correlated sub-query")
+        try:
+            return engine.execute_subquery(query, [])
+        except Exception as error:  # the interpreter raises it lazily
+            raise VectorizeError(
+                f"sub-query raised {type(error).__name__}") from None
+
     try:
-        plan = _build(statement, database)
+        plan = _build(statement, database, bind)
     except (VectorizeError, CompileError, PlanError) as error:
         OPTIMIZER_COUNTERS.bump("plans_row_path")
         raise VectorizeError(str(error)) from None
@@ -1094,24 +1192,22 @@ def build_plan(statement: ast.SelectStatement, database: Database) -> CompiledSe
     return plan
 
 
-def _build(statement: ast.SelectStatement, database: Database) -> CompiledSelect:
-    if statement.from_table is None:
-        raise VectorizeError("no FROM clause")
-    for node in ast.walk_expressions(statement):
-        if isinstance(node, (ast.ScalarSubquery, ast.ExistsExpr)):
-            raise VectorizeError("subquery")
-        if isinstance(node, ast.InExpr) and node.subquery is not None:
-            raise VectorizeError("IN subquery")
-    refs = [statement.from_table] + [join.table for join in statement.joins]
+def _build(
+    statement: ast.SelectStatement, database: Database, bind
+) -> CompiledSelect:
+    refs = [join.table for join in statement.joins]
+    if statement.from_table is not None:
+        refs.insert(0, statement.from_table)
     tables = [database.table(ref.name) for ref in refs]
     schemas: list[_Schema] = []
     scan_stats: list[list[ColumnStats]] = []
     for ref, table in zip(refs, tables):
-        schema, per_column = _scan_schema(table, ref.effective_alias().lower())
+        schema, per_column = _scan_schema(
+            table, ref.effective_alias().lower(), bind)
         schemas.append(schema)
         scan_stats.append(per_column)
-    full = schemas[0]
-    for schema in schemas[1:]:
+    full = _Schema([], [], [], bind)
+    for schema in schemas:
         full = _Schema.concat(full, schema)
     flat_stats = [stats for per_scan in scan_stats for stats in per_scan]
 
@@ -1185,8 +1281,8 @@ def _build(statement: ast.SelectStatement, database: Database) -> CompiledSelect
 
     # -- joins ------------------------------------------------------------
     joins: list[_JoinPlan] = []
-    running = estimates[0]
-    cumulative = schemas[0]
+    running = estimates[0] if estimates else 1.0
+    cumulative = schemas[0] if schemas else full
     for index, join in enumerate(statement.joins, start=1):
         right_schema = schemas[index]
         combined = _Schema.concat(cumulative, right_schema)
@@ -1250,6 +1346,9 @@ def _build(statement: ast.SelectStatement, database: Database) -> CompiledSelect
             specs.append(spec)
             env_map[id(agg_node)] = (slot, klass)  # lint: allow-id-key
         plan.agg_specs = specs
+        roots = [item.expression for item in items]
+        roots += [order.expression for order in order_items]
+        _check_raising_aggregates(aggs, specs, statement.having, roots)
         plan.group_key_nodes = [
             _compile(expr, full, None) for expr in statement.group_by
         ]
@@ -1264,10 +1363,13 @@ def _build(statement: ast.SelectStatement, database: Database) -> CompiledSelect
             (_compile(order.expression, full, env_map), order.descending)
             for order in order_items
         ]
+        plan.bare_columns = _reads_bare_columns(
+            roots + [statement.having], aggs)
     else:
         items = _expand_select_items(statement, full.columns)
         order_items = _resolve_order_items(statement, items)
         plan.agg_specs = []
+        plan.bare_columns = False
         plan.group_key_nodes = []
         plan.having_node = None
         plan.item_nodes = [
@@ -1280,6 +1382,67 @@ def _build(statement: ast.SelectStatement, database: Database) -> CompiledSelect
     plan.names = [item.output_name() for item in items]
     plan.summary = _summarize(plan)
     return plan
+
+
+def _single_scan_target(
+    conj: ast.Expression,
+    all_columns: list[ColumnInfo],
+    offsets: list[tuple[int, int]],
+) -> int | None:
+    """The single scan this conjunct's columns all come from, if any."""
+    target: int | None = None
+    saw_column = False
+    for node in ast.walk_expressions(conj):
+        if not isinstance(node, ast.ColumnRef):
+            continue
+        saw_column = True
+        position = resolve_column(all_columns, node.name, node.table)
+        scan = next(
+            index for index, (start, end) in enumerate(offsets)
+            if start <= position < end
+        )
+        if target is None:
+            target = scan
+        elif target != scan:
+            return None
+    return target if saw_column else None
+
+
+def _index_probe(
+    conj: ast.Expression,
+) -> tuple[ast.ColumnRef, SqlValue] | None:
+    """Match ``col = literal`` / ``literal = col`` for index lookups."""
+    if isinstance(conj, ast.BinaryOp) and conj.op == "=":
+        if isinstance(conj.left, ast.ColumnRef) and isinstance(
+            conj.right, ast.Literal
+        ):
+            return conj.left, conj.right.value
+        if isinstance(conj.right, ast.ColumnRef) and isinstance(
+            conj.left, ast.Literal
+        ):
+            return conj.right, conj.left.value
+    return None
+
+
+def _equi_pair(
+    conj: ast.Expression, columns: list[ColumnInfo], left_width: int
+) -> tuple[int, int] | None:
+    """Match ``left_col = right_col`` across the join boundary."""
+    if not (isinstance(conj, ast.BinaryOp) and conj.op == "="):
+        return None
+    if not (isinstance(conj.left, ast.ColumnRef)
+            and isinstance(conj.right, ast.ColumnRef)):
+        return None
+    try:
+        a = resolve_column(columns, conj.left.name, conj.left.table)
+        b = resolve_column(columns, conj.right.name, conj.right.table)
+    except CompileError:
+        return None
+    if a < left_width <= b:
+        return (a, b)
+    if b < left_width <= a:
+        return (b, a)
+    return None
 
 
 def _collect_aggregates(items, having, order_items) -> list[ast.AggregateCall]:
@@ -1297,6 +1460,57 @@ def _collect_aggregates(items, having, order_items) -> list[ast.AggregateCall]:
     return collected
 
 
+def _check_raising_aggregates(aggs, specs, having, roots) -> None:
+    """Allow one SUM/AVG over a non-numeric argument, which may raise.
+
+    The plan computes it per group in group order, as the interpreter
+    meets it, and raises the interpreter's own error, provided nothing
+    else can raise and every group evaluates it: no HAVING, and no AND,
+    OR, CASE or IN between it and a select or ORDER BY root (those may
+    skip an operand).
+    """
+    raising = [
+        agg for agg, spec in zip(aggs, specs)
+        if spec.name in ("SUM", "AVG") and not _numx_ok(spec.arg.klass)
+    ]
+    if not raising:
+        return
+    reason = f"{raising[0].name} over a non-numeric column"
+    if len(raising) > 1 or having is not None:
+        raise VectorizeError(reason)
+    target = raising[0]
+    for root in roots:
+        nodes = list(ast.walk_expressions(root))
+        if not any(node is target for node in nodes):
+            continue
+        guarded = {
+            id(inner)  # lint: allow-id-key
+            for node in nodes if _may_skip_operands(node)
+            for inner in ast.walk_expressions(node) if inner is not node
+        }
+        if id(target) not in guarded:  # lint: allow-id-key
+            return
+    raise VectorizeError(reason)
+
+
+def _may_skip_operands(node: ast.Expression) -> bool:
+    return isinstance(node, (ast.CaseExpr, ast.InExpr)) or (
+        isinstance(node, ast.BinaryOp) and node.op in ("AND", "OR"))
+
+
+def _reads_bare_columns(roots, aggs: list[ast.AggregateCall]) -> bool:
+    """True when a column is read outside every aggregate argument."""
+    inside = {
+        id(node)  # lint: allow-id-key
+        for agg in aggs for node in ast.walk_expressions(agg.argument)
+    }
+    return any(
+        isinstance(node, ast.ColumnRef)
+        and id(node) not in inside  # lint: allow-id-key
+        for root in roots for node in ast.walk_expressions(root)
+    )
+
+
 def _compile_aggregate(
     node: ast.AggregateCall, schema: _Schema, slot: int
 ) -> tuple[_AggSpec, str]:
@@ -1309,9 +1523,7 @@ def _compile_aggregate(
     if name == "COUNT":
         klass = "num"
     elif name in ("SUM", "AVG"):
-        if not _numx_ok(argument.klass):
-            raise VectorizeError(f"{name} over a non-numeric column")
-        klass = "numx"
+        klass = "numx"      # may raise unless the argument is numeric
     elif name in ("MIN", "MAX"):
         klass = argument.klass
     else:
@@ -1329,7 +1541,7 @@ def _summarize(plan: CompiledSelect) -> str:
         scan_bits.append(bit)
     parts = [
         "vectorized/" + ("group" if plan.grouped else "plain"),
-        "scan=" + ",".join(scan_bits),
+        "scan=" + (",".join(scan_bits) or "none"),
     ]
     if plan.joins:
         join_bits = []

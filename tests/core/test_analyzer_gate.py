@@ -48,7 +48,11 @@ class TestAssessQueryGate:
         snapshot = ANALYZER_COUNTERS.snapshot()
         assert snapshot["rejected_pre_execution"] == 1
         # No execution strategies fired: the engine never saw the query.
-        assert STRATEGY_COUNTERS.snapshot()["interpreted_fallbacks"] == 0
+        strategies = STRATEGY_COUNTERS.snapshot()
+        for name in ("vectorized_executions", "vectorized_ineligible",
+                     "vectorized_runtime_fallbacks", "result_cache_hits",
+                     "result_cache_misses"):
+            assert strategies[name] == 0, name
 
     def test_shape_mismatch_short_circuits_correct_query(self):
         # Two columns can never be Definition 2.4's single cell.

@@ -256,9 +256,14 @@ def test_uncorrelated_subquery_served_from_result_cache():
     result = engine.execute(sql)
     assert result.rows == [(5,), (15,), (25,)]
     snapshot = STRATEGY_COUNTERS.snapshot()
-    # Three outer rows: the first evaluation misses, the other two hit.
+    # The plan binds the sub-query once, not once per outer row.
     assert snapshot["subquery_cache_misses"] == 1
-    assert snapshot["subquery_cache_hits"] == 2
+    assert snapshot["subquery_cache_hits"] == 0
+    # Another statement binding the same sub-query is served the result.
+    engine.execute("SELECT v + (SELECT MAX(w) FROM r) FROM l")
+    snapshot = STRATEGY_COUNTERS.snapshot()
+    assert snapshot["subquery_cache_misses"] == 1
+    assert snapshot["subquery_cache_hits"] == 1
     # Identical results to the naive oracle, as always.
     assert _run(Engine(db, naive=True), sql) == _run(engine, sql)
 

@@ -1,7 +1,7 @@
-"""Differential tests: the optimized engine vs ``naive=True``.
+"""Differential tests: the default engine vs ``naive=True``.
 
 The optimization contract is byte-identical behaviour — every plan-cache
-hit, compiled evaluator, pushed predicate, indexed scan, hash join, and
+hit, pushed predicate, indexed scan, hash join, bound sub-query and
 vectorized batch plan must produce exactly the rows (and exactly the
 errors) of the original parse-per-call interpreter. The property tests
 drive both arms over a query family chosen to hit the interesting
@@ -9,7 +9,10 @@ strategy boundaries: NULL join keys, LEFT joins with pushable WHERE
 conjuncts, OR-connected predicates (not splittable), and grouped
 aggregates. A second family targets the vectorized path's soundness
 gates specifically: NaN/inf columns, mixed-type columns, NULL-heavy and
-empty tables, and GROUP BY over all-NULL keys.
+empty tables, GROUP BY over all-NULL keys, FROM-less selects,
+uncorrelated sub-queries (including ones that raise only where the
+interpreter would reach them) and global aggregates over empty
+relations.
 """
 
 import math
@@ -155,9 +158,10 @@ def test_division_by_zero_error_matches_naive():
 
 # -- vectorized path ----------------------------------------------------------
 #
-# These drive the vectorized batch plans against the naive oracle AND the
-# unvectorized row path. Comparisons go through repr() so NaN cells (which
-# are != themselves) still compare, and so -0.0 vs 0.0 divergence would be
+# These drive the vectorized batch plans against the naive oracle AND a
+# default engine with vectorization off (the interpreter behind the
+# caches). Comparisons go through repr() so NaN cells (which are !=
+# themselves) still compare, and so -0.0 vs 0.0 divergence would be
 # caught rather than masked.
 
 _NAN = float("nan")
@@ -217,6 +221,50 @@ _VECTOR_QUERIES = (
     # HAVING over a computed aggregate.
     "SELECT txt, SUM(num) FROM v GROUP BY txt "
     "HAVING COUNT(*) >= 1 ORDER BY 1",
+    # SUM over a non-numeric column raises only where a group reaches it.
+    "SELECT num, SUM(txt) FROM v GROUP BY num ORDER BY 1",
+    "SELECT SUM(mix), COUNT(*) FROM v WHERE num > 0",
+    "SELECT CASE WHEN COUNT(*) > 2 THEN SUM(txt) END FROM v",
+    "SELECT num, SUM(mix) + SUM(txt) FROM v GROUP BY num ORDER BY 1",
+    # FROM-less selects: one row, no columns.
+    "SELECT 1, 'a' || 'b', NULL, 7 / 2",
+    "SELECT 2 * 3 WHERE 1 = 0",
+    "SELECT COUNT(*), SUM(4), MAX('x') WHERE 1 = 1",
+    # Uncorrelated scalar sub-queries, bound into the plan.
+    "SELECT num, txt FROM v WHERE num = (SELECT MAX(num) FROM v) ORDER BY 2",
+    "SELECT num - (SELECT MIN(fnum) FROM v) FROM v ORDER BY 1",
+    "SELECT ((SELECT COUNT(num) FROM v WHERE num > 0) * 100) "
+    "/ (SELECT COUNT(num) FROM v)",
+    # Uncorrelated IN and EXISTS sub-queries (NULL and NaN candidates).
+    "SELECT num FROM v WHERE num IN (SELECT k FROM j) ORDER BY 1",
+    "SELECT w FROM j WHERE k NOT IN (SELECT num FROM v) ORDER BY 1",
+    "SELECT txt FROM v WHERE mix IN (SELECT w FROM j) ORDER BY 1",
+    "SELECT COUNT(*) FROM v WHERE EXISTS (SELECT w FROM j WHERE w > 25)",
+    "SELECT num FROM v WHERE NOT EXISTS (SELECT 1 FROM j WHERE k = 1) "
+    "ORDER BY 1",
+    # A multi-row scalar sub-query raises only when it is evaluated:
+    # never under an empty outer relation (num is at most 5) ...
+    "SELECT (SELECT w FROM j) FROM v WHERE num > 100",
+    "SELECT (SELECT w FROM j) FROM v",
+    # ... nor on the false side of an AND.
+    "SELECT num FROM v WHERE num > 100 AND num = (SELECT w FROM j)",
+    "SELECT num FROM v WHERE num > 3 AND num = (SELECT w FROM j)",
+    # Sub-query divisors equal to 0 (w never exceeds 50) or NULL, also
+    # where the interpreter never reaches them.
+    "SELECT num / (SELECT COUNT(*) FROM j WHERE w > 100) FROM v",
+    "SELECT num % (SELECT MIN(w) FROM j) FROM v ORDER BY 1",
+    "SELECT CASE WHEN COALESCE(num, 0) > 100 "
+    "THEN num / (SELECT COUNT(*) FROM j WHERE w > 100) END FROM v",
+    # A sub-query that raises, evaluated nowhere.
+    "SELECT num FROM v WHERE COALESCE(num, 0) > 100 "
+    "AND num = (SELECT SUM(txt) FROM v)",
+    # Global aggregates over an empty relation, without bare columns ...
+    "SELECT COUNT(*), SUM(num), AVG(fnum), MAX(txt) FROM v WHERE num > 100",
+    "SELECT COUNT(*) + 1, SUM(num) * 2 FROM v WHERE num > 100 "
+    "HAVING COUNT(*) = 0 ORDER BY 1",
+    # ... and with them (bare columns over an empty group raise lazily).
+    "SELECT txt, COUNT(*) FROM v WHERE num > 100",
+    "SELECT COUNT(*) FROM v WHERE num > 100 ORDER BY txt",
 )
 
 
@@ -229,13 +277,13 @@ def _run_repr(engine, sql):
 
 
 @given(vectorized_databases(), st.sampled_from(_VECTOR_QUERIES))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_vectorized_matches_naive(db, sql):
     naive = _run_repr(Engine(db, naive=True), sql)
     vectorized = Engine(db, vectorized=True, result_cache=None)
-    row_path = Engine(db, vectorized=False, result_cache=None)
+    interpreted = Engine(db, vectorized=False, result_cache=None)
     assert _run_repr(vectorized, sql) == naive
-    assert _run_repr(row_path, sql) == naive
+    assert _run_repr(interpreted, sql) == naive
     # Replay through the (possibly runtime-disabled) memoized plan.
     assert _run_repr(vectorized, sql) == naive
 
@@ -277,6 +325,57 @@ def test_subqueries_stay_on_the_row_path():
     after = STRATEGY_COUNTERS.snapshot()
     assert after["vectorized_executions"] == before["vectorized_executions"]
     assert after["vectorized_ineligible"] > before["vectorized_ineligible"]
+
+
+def _paper_db():
+    db = Database("paper")
+    db.add(Table("t", ["c", "a", "b", "x"], [
+        ("one", 1, 5.5, 10), ("two", 2, 7.25, None), ("three", 3, 7.25, 4),
+        (None, 4, 1.0, 2),
+    ]))
+    return db
+
+
+PAPER_SHAPES = (
+    # A percentage claim: a FROM-less ratio of two COUNT sub-queries.
+    "SELECT ((SELECT COUNT(c) FROM t WHERE b > 5) * 100) "
+    "/ (SELECT COUNT(c) FROM t)",
+    # Algorithm 9: a constant replaced by a sub-query.
+    "SELECT a FROM t WHERE b = (SELECT MAX(b) FROM t)",
+    # A global aggregate whose filter matches nothing.
+    "SELECT SUM(x) FROM t WHERE a > 100",
+)
+
+
+@pytest.mark.parametrize("sql", PAPER_SHAPES)
+def test_paper_shapes_run_vectorized(sql):
+    db = _paper_db()
+    engine = Engine(db, result_cache=None)
+    before = STRATEGY_COUNTERS.snapshot()
+    assert _run_repr(engine, sql) == _run_repr(Engine(db, naive=True), sql)
+    after = STRATEGY_COUNTERS.snapshot()
+    assert engine.plan_label(sql).startswith("vectorized/")
+    for name in ("vectorized_ineligible", "vectorized_runtime_fallbacks"):
+        assert after[name] == before[name], name
+
+
+@pytest.mark.parametrize("sql", (
+    "SELECT SUM(txt) FROM v",
+    "SELECT SUM(txt) FROM v WHERE num > 100",
+    "SELECT SUM(mix) + SUM(txt) FROM v",
+    "SELECT num, SUM(mix), SUM(txt) FROM v GROUP BY num ORDER BY 1",
+    "SELECT SUM(txt) FROM v HAVING COUNT(*) > 100",
+    "SELECT CASE WHEN COUNT(*) > 100 THEN SUM(txt) END FROM v",
+    "SELECT COUNT(*) > 100 AND SUM(txt) > 0 FROM v",
+))
+def test_raising_aggregates_match_naive(sql):
+    # SUM over text raises: the plan may raise only the oracle's error,
+    # at the same group, and only where the oracle evaluates the SUM.
+    db = Database("raising")
+    db.add(Table("v", ["num", "mix", "txt"],
+                 [(1, "7", "ab"), (2, "x", None), (2, None, "c")]))
+    naive = _run_repr(Engine(db, naive=True), sql)
+    assert _run_repr(Engine(db, result_cache=None), sql) == naive
 
 
 def test_group_by_all_null_keys():
