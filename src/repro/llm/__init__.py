@@ -14,6 +14,7 @@ from .ledger import (
     CostLedger,
     LedgerDelta,
     LedgerEntry,
+    LedgerSnapshot,
     LedgerTotals,
     RetryEvent,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "LLMClient",
     "LedgerDelta",
     "LedgerEntry",
+    "LedgerSnapshot",
     "LedgerTotals",
     "LookupTrap",
     "MODEL_SPECS",

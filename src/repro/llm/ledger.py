@@ -13,14 +13,29 @@ route a worker's entries into a private sub-ledger that is merged back in
 a deterministic order once the worker joins — so a parallel run produces
 the same entry sequence (and therefore the same totals) as a sequential
 one.
+
+Aggregate reads do not walk the ledger's history. Next to the append-only
+``entries``/``events`` lists the ledger keeps running aggregates: a grand
+:class:`LedgerTotals`, one :class:`LedgerTotals` per tag (indexed by tag
+family, the text up to the first ``:``, so ``method:`` totals are found
+without walking every ``claim:`` tag) and the retry-backoff sum. They are
+folded on the one path that appends to the shared lists — under the same
+lock, entry by entry, in append order — so every float is summed in
+exactly the order a scan of ``entries`` would sum it, and each total is
+bit-identical to that scan's. Aggregate reads (:meth:`CostLedger.totals`,
+:meth:`CostLedger.totals_by_tag_prefix`, :meth:`CostLedger.snapshot`,
+``total_cost``, ``retry_backoff_seconds``) take the lock and return
+copies. Only windowed reads (:meth:`CostLedger.totals_since`,
+:meth:`CostLedger.totals_for_tags`), which serve per-job spend and
+profiling, still scan the entries after their checkpoint.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -56,7 +71,7 @@ class RetryEvent:
     tags: tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerTotals:
     """Aggregated spending over a set of entries."""
 
@@ -76,6 +91,21 @@ class LedgerTotals:
     @property
     def total_tokens(self) -> int:
         return self.prompt_tokens + self.completion_tokens
+
+
+@dataclass(frozen=True)
+class LedgerSnapshot:
+    """Every ledger aggregate, read at one instant (see
+    :meth:`CostLedger.snapshot`), so counters derived from it agree."""
+
+    totals: LedgerTotals
+    #: Per-tag totals for the requested prefix, in first-appearance order.
+    by_tag: dict[str, LedgerTotals]
+    entries: int
+    retries: int
+    retry_backoff_seconds: float
+    sql_seconds: float
+    sql_executions: int
 
 
 @dataclass
@@ -100,6 +130,12 @@ class CostLedger:
         # the parallel executor untouched.
         self._sql_seconds = 0.0
         self._sql_executions = 0
+        # Running aggregates over ``entries``/``events``; folded only by
+        # ``_append_entries``/``_append_events``, under ``_lock``.
+        self._totals = LedgerTotals()
+        self._by_tag: dict[str, LedgerTotals] = {}
+        self._by_family: dict[str, dict[str, LedgerTotals]] = {}
+        self._backoff_seconds = 0.0
 
     # -- thread-local state --------------------------------------------------
 
@@ -137,7 +173,7 @@ class CostLedger:
             sink.entries.append(entry)
         else:
             with self._lock:
-                self.entries.append(entry)
+                self._append_entries((entry,))
 
     def record_retry(
         self,
@@ -161,7 +197,7 @@ class CostLedger:
             sink.events.append(event)
         else:
             with self._lock:
-                self.events.append(event)
+                self._append_events((event,))
 
     def record_sql(self, seconds: float, executions: int = 1) -> None:
         """Record time spent executing SQL for the verification data side.
@@ -238,18 +274,38 @@ class CostLedger:
             sink.events.extend(delta.events)
         else:
             with self._lock:
-                self.entries.extend(delta.entries)
-                self.events.extend(delta.events)
+                self._append_entries(delta.entries)
+                self._append_events(delta.events)
+
+    def _append_entries(self, entries: Iterable[LedgerEntry]) -> None:
+        """Append to ``entries`` and fold into the aggregates (hold
+        ``_lock``). A tag repeated in one entry's stack counts it once."""
+        totals = self._totals
+        by_tag = self._by_tag
+        for entry in entries:
+            self.entries.append(entry)
+            totals.add(entry)
+            for tag in dict.fromkeys(entry.tags):
+                tag_totals = by_tag.get(tag)
+                if tag_totals is None:
+                    tag_totals = by_tag[tag] = LedgerTotals()
+                    family = tag[:tag.find(":") + 1]
+                    self._by_family.setdefault(family, {})[tag] = tag_totals
+                tag_totals.add(entry)
+
+    def _append_events(self, events: Iterable[RetryEvent]) -> None:
+        """Append to ``events`` and fold the backoff sum (hold ``_lock``)."""
+        for event in events:
+            self.events.append(event)
+            self._backoff_seconds += event.delay_seconds
 
     # -- aggregation ---------------------------------------------------------
 
     def totals(self, tag: str | None = None) -> LedgerTotals:
-        """Aggregate all entries, optionally restricted to one tag."""
-        totals = LedgerTotals()
-        for entry in self.entries:
-            if tag is None or tag in entry.tags:
-                totals.add(entry)
-        return totals
+        """Totals over all entries, or over the entries carrying ``tag``."""
+        with self._lock:
+            found = self._totals if tag is None else self._by_tag.get(tag)
+            return replace(found) if found is not None else LedgerTotals()
 
     def totals_for_tags(
         self, tags: Sequence[str] | set[str], since: int = 0
@@ -269,16 +325,39 @@ class CostLedger:
         return totals
 
     def totals_by_tag_prefix(self, prefix: str) -> dict[str, LedgerTotals]:
-        """Aggregate entries per tag, over tags starting with ``prefix``.
+        """Per-tag totals over tags starting with ``prefix``, in the
+        order the tags first appeared.
 
         E.g. ``totals_by_tag_prefix("method:")`` returns per-method totals.
         """
-        grouped: dict[str, LedgerTotals] = {}
-        for entry in self.entries:
-            for tag in entry.tags:
-                if tag.startswith(prefix):
-                    grouped.setdefault(tag, LedgerTotals()).add(entry)
-        return grouped
+        with self._lock:
+            return self._prefix_totals(prefix)
+
+    def _prefix_totals(self, prefix: str) -> dict[str, LedgerTotals]:
+        # A prefix with a colon fixes the tag family, so only that
+        # family's tags are visited; one without walks every tag.
+        colon = prefix.find(":")
+        candidates = (self._by_tag if colon < 0
+                      else self._by_family.get(prefix[:colon + 1], {}))
+        return {
+            tag: replace(totals) for tag, totals in candidates.items()
+            if tag.startswith(prefix)
+        }
+
+    def snapshot(self, prefix: str | None = None) -> LedgerSnapshot:
+        """Grand totals, retry and SQL counters, and (with ``prefix``)
+        :meth:`totals_by_tag_prefix`, all read under one lock hold."""
+        with self._lock:
+            return LedgerSnapshot(
+                totals=replace(self._totals),
+                by_tag=(self._prefix_totals(prefix)
+                        if prefix is not None else {}),
+                entries=len(self.entries),
+                retries=len(self.events),
+                retry_backoff_seconds=self._backoff_seconds,
+                sql_seconds=self._sql_seconds,
+                sql_executions=self._sql_executions,
+            )
 
     def checkpoint(self) -> int:
         """Return a marker for :meth:`totals_since`."""
@@ -293,11 +372,13 @@ class CostLedger:
 
     @property
     def total_cost(self) -> float:
-        return sum(e.cost for e in self.entries)
+        with self._lock:
+            return self._totals.cost
 
     @property
     def total_latency_seconds(self) -> float:
-        return sum(e.latency_seconds for e in self.entries)
+        with self._lock:
+            return self._totals.latency_seconds
 
     @property
     def retry_count(self) -> int:
@@ -311,7 +392,8 @@ class CostLedger:
         next attempt; this sums them so ``/stats`` and reports can show
         how much of a run's wall-clock went to waiting out failures.
         """
-        return sum(event.delay_seconds for event in self.events)
+        with self._lock:
+            return self._backoff_seconds
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -271,7 +271,8 @@ def ledger_metrics(ledger) -> list[Metric]:
     :class:`~repro.llm.ledger.RetryEvent` delays — previously recorded
     but never summed anywhere.
     """
-    totals = ledger.totals()
+    view = ledger.snapshot()
+    totals = view.totals
     return [
         Metric.counter("cedar_llm_calls_total", totals.calls,
                        "LLM calls recorded in the cost ledger"),
@@ -284,14 +285,14 @@ def ledger_metrics(ledger) -> list[Metric]:
         Metric.counter("cedar_llm_latency_seconds_total",
                        totals.latency_seconds,
                        "Cumulative model-call latency"),
-        Metric.counter("cedar_llm_retries_total", ledger.retry_count,
+        Metric.counter("cedar_llm_retries_total", view.retries,
                        "Retry decisions taken by the resilience layer"),
         Metric.counter("cedar_llm_retry_backoff_seconds_total",
-                       ledger.retry_backoff_seconds,
+                       view.retry_backoff_seconds,
                        "Cumulative backoff sleep requested by retries"),
-        Metric.counter("cedar_sql_executions_total", ledger.sql_executions,
+        Metric.counter("cedar_sql_executions_total", view.sql_executions,
                        "SQL executions timed by the verifier"),
-        Metric.counter("cedar_sql_seconds_total", ledger.sql_seconds,
+        Metric.counter("cedar_sql_seconds_total", view.sql_seconds,
                        "Wall-clock spent executing SQL in the verifier"),
     ]
 

@@ -23,6 +23,9 @@ Counter groups registered with ``keyed_by`` fan one provider out into
 labelled samples — ``register_counters("method_cost_usd", fn,
 keyed_by="method")`` turns the ledger's per-method ``method:`` tag
 totals into ``cedar_telemetry_method_cost_usd_per_second{method=...}``.
+``register_counter_groups`` lets one provider fill several groups from a
+single read, so counters that must agree within a sample (the service's
+LLM totals and its per-method totals) come from one ledger snapshot.
 
 Like every ``repro/obs`` module, no clock is read directly: wall times
 come only from the injected ``clock`` callable (CDL015).
@@ -69,11 +72,13 @@ class TelemetryWindow:
         self.max_samples = max_samples
         self.clock = clock
         self._gauges: list[Callable[[], Mapping]] = []
-        #: (group, provider, keyed_by): flat groups render their keys as
+        #: (provider, {group: keyed_by}): a provider returns
+        #: ``{group: {name: total}}`` for the groups it declares. Flat
+        #: groups (``keyed_by`` None) render their keys as
         #: ``{group}_{key}`` names; keyed groups render the group as the
         #: family and each key as a ``keyed_by`` label value.
-        self._counters: list[tuple[str, Callable[[], Mapping],
-                                   str | None]] = []
+        self._counters: list[tuple[Callable[[], Mapping[str, Mapping]],
+                                   dict[str, str | None]]] = []
         self._derived: list[tuple[str, Callable[[Mapping], float]]] = []
         self._samples: list[_Sample] = []
         self._lock = threading.Lock()
@@ -96,7 +101,21 @@ class TelemetryWindow:
         differences them. With ``keyed_by``, the provider's keys become
         label values of one metric family named after the group.
         """
-        self._counters.append((group, provider, keyed_by))
+        self._counters.append(
+            (lambda: {group: provider()}, {group: keyed_by})
+        )
+
+    def register_counter_groups(
+        self,
+        provider: Callable[[], Mapping[str, Mapping]],
+        groups: Mapping[str, str | None],
+    ) -> None:
+        """Add one provider feeding several counter groups from a single
+        read: ``() -> {group: {name: total}}``. ``groups`` maps each
+        group it fills to its ``keyed_by`` (None for a flat group), so
+        counters that must agree within a sample come from one snapshot.
+        """
+        self._counters.append((provider, dict(groups)))
 
     def register_derived(
         self, name: str, fn: Callable[[Mapping], float]
@@ -111,18 +130,20 @@ class TelemetryWindow:
     def _collect(self) -> tuple[dict, dict]:
         flat: dict = {}
         keyed: dict = {}
-        for group, provider, keyed_by in self._counters:
+        for provider, groups in self._counters:
             try:
-                values = provider()
+                values_by_group = provider()
             except Exception:
                 continue  # a broken provider must not break the scrape
-            if keyed_by is None:
-                for key in sorted(values):
-                    flat[f"{group}_{key}"] = float(values[key])
-            else:
-                bucket = keyed.setdefault(group, {})
-                for key in sorted(values):
-                    bucket[str(key)] = float(values[key])
+            for group, keyed_by in groups.items():
+                values = values_by_group.get(group, {})
+                if keyed_by is None:
+                    for key in sorted(values):
+                        flat[f"{group}_{key}"] = float(values[key])
+                else:
+                    bucket = keyed.setdefault(group, {})
+                    for key in sorted(values):
+                        bucket[str(key)] = float(values[key])
         return flat, keyed
 
     def sample(self) -> None:
@@ -215,7 +236,8 @@ class TelemetryWindow:
             ))
         for group, stats in snapshot["keyed"].items():
             keyed_by = next(
-                (k for g, _p, k in self._counters if g == group and k),
+                (groups[group] for _p, groups in self._counters
+                 if groups.get(group)),
                 "key",
             )
             for key, stat in stats.items():

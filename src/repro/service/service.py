@@ -464,7 +464,11 @@ class VerificationService:
             "running_jobs": self._running_jobs,
         })
         window.register_counters("jobs", lambda: dict(self._counts))
-        window.register_counters("llm", self._llm_counters)
+        window.register_counter_groups(self._ledger_counters, {
+            "llm": None,
+            "method_cost_usd": "method",
+            "method_calls": "method",
+        })
         if self.cache is not None:
             window.register_counters("llm_cache", lambda: {
                 "hits": self.cache.stats.hits,
@@ -483,30 +487,22 @@ class VerificationService:
                 "sql_cache_hit_rate",
                 hit_rate("sql_cache_hits", "sql_cache_misses"),
             )
-        window.register_counters(
-            "method_cost_usd",
-            lambda: self._method_totals("cost"), keyed_by="method",
-        )
-        window.register_counters(
-            "method_calls",
-            lambda: self._method_totals("calls"), keyed_by="method",
-        )
 
-    def _llm_counters(self) -> dict:
-        totals = self.ledger.totals()
+    def _ledger_counters(self) -> dict:
+        """LLM and per-method counters from one ledger snapshot, so a
+        sample's ``llm_calls`` and ``method_calls`` agree."""
+        view = self.ledger.snapshot("method:")
+        methods = {tag[len("method:"):]: totals
+                   for tag, totals in view.by_tag.items()}
         return {
-            "calls": totals.calls,
-            "cost_usd": totals.cost,
-            "retries": self.ledger.retry_count,
-            "retry_backoff_seconds": self.ledger.retry_backoff_seconds,
-        }
-
-    def _method_totals(self, field_name: str) -> dict:
-        """Per-method ledger totals, ``method:`` tag prefix stripped."""
-        totals = self.ledger.totals_by_tag_prefix("method:")
-        return {
-            tag[len("method:"):]: getattr(entry, field_name)
-            for tag, entry in totals.items()
+            "llm": {
+                "calls": view.totals.calls,
+                "cost_usd": view.totals.cost,
+                "retries": view.retries,
+                "retry_backoff_seconds": view.retry_backoff_seconds,
+            },
+            "method_cost_usd": {m: t.cost for m, t in methods.items()},
+            "method_calls": {m: t.calls for m, t in methods.items()},
         }
 
     def _engine_stats(self) -> dict:
@@ -1015,7 +1011,7 @@ class VerificationService:
             }
             running = self._running_jobs
             draining = self._draining
-        totals = self.ledger.totals()
+        view = self.ledger.snapshot()
         # Engine-wide plan-cache/strategy counters, with the result-cache
         # slot replaced by this service's own shared cache (the global
         # strategy counters still expose process-wide hit/miss tallies).
@@ -1023,8 +1019,8 @@ class VerificationService:
         sql["result_cache"] = (
             self.sql_cache.stats() if self.sql_cache is not None else None
         )
-        sql["executions"] = self.ledger.sql_executions
-        sql["seconds"] = round(self.ledger.sql_seconds, 6)
+        sql["executions"] = view.sql_executions
+        sql["seconds"] = round(view.sql_seconds, 6)
         return ServiceStats(
             queue_depth=len(self._queue),
             running_jobs=running,
@@ -1034,13 +1030,13 @@ class VerificationService:
             cache=self.cache.stats.to_dict() if self.cache else None,
             sql=sql,
             ledger={
-                "entries": len(self.ledger),
-                "calls": totals.calls,
-                "cost_usd": round(totals.cost, 6),
-                "tokens": totals.total_tokens,
-                "retries": self.ledger.retry_count,
+                "entries": view.entries,
+                "calls": view.totals.calls,
+                "cost_usd": round(view.totals.cost, 6),
+                "tokens": view.totals.total_tokens,
+                "retries": view.retries,
                 "retry_backoff_seconds": round(
-                    self.ledger.retry_backoff_seconds, 6
+                    view.retry_backoff_seconds, 6
                 ),
             },
             latency=self._histogram.snapshot(),

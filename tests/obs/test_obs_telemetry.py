@@ -152,6 +152,29 @@ def test_metrics_families_and_labels():
     assert labelsets == [(("method", "sql"),)]
 
 
+def test_counter_groups_fill_several_groups_from_one_read():
+    clock = FakeClock()
+    window = TelemetryWindow(clock=clock)
+    reads = []
+
+    def provider():
+        reads.append(clock.now)
+        return {"llm": {"calls": 3}, "method_calls": {"sql": 2, "agent": 1}}
+
+    window.register_counter_groups(
+        provider, {"llm": None, "method_calls": "method"})
+    window.sample()
+    clock.advance(1.0)
+    snapshot = window.snapshot()
+    assert reads == [0.0, 1.0]  # one provider call per sample
+    assert snapshot["counters"]["llm_calls"]["total"] == 3.0
+    assert snapshot["keyed"]["method_calls"]["sql"]["total"] == 2.0
+    keyed = [metric for metric in window.metrics()
+             if metric.name == "cedar_telemetry_method_calls_per_second"]
+    assert [labels for metric in keyed for labels, _ in metric.samples] == [
+        (("method", "agent"),), (("method", "sql"),)]
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         TelemetryWindow(window_seconds=0)

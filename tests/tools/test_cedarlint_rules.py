@@ -380,6 +380,38 @@ def test_column_array_containment(tmp_path):
     ]
 
 
+def test_ledger_history_read_only_inside_llm(tmp_path):
+    result = lint_fixture(tmp_path, {
+        "src/repro/service/scan.py": (
+            "def f(self, ledger):\n"
+            "    return len(self.ledger.entries), ledger.events[-1]\n"
+        ),
+        "benchmarks/bench_scan.py": (
+            "def f(seq_ledger):\n"
+            "    return [e.cost for e in seq_ledger.entries]\n"
+        ),
+    })
+    assert [(d.code, d.path, d.line) for d in result.findings] == [
+        ("CDL034", "benchmarks/bench_scan.py", 2),
+        ("CDL034", "src/repro/service/scan.py", 2),
+        ("CDL034", "src/repro/service/scan.py", 2),
+    ]
+
+
+def test_ledger_history_fine_in_owner_tests_and_other_objects(tmp_path):
+    scan = "def f(ledger):\n    return ledger.entries, ledger.events\n"
+    result = lint_fixture(tmp_path, {
+        "src/repro/llm/owner.py": scan,
+        "tests/llm/test_scan.py": scan,
+        "src/repro/cluster/records.py": (
+            "def f(record, handle, baseline):\n"
+            "    return (record.events, handle.events(timeout=1),\n"
+            "            baseline.entries)\n"
+        ),
+    })
+    assert codes(result) == []
+
+
 def test_public_surface_over_examples_and_docs(tmp_path):
     result = lint_fixture(tmp_path, {
         "src/repro/__init__.py": "__all__ = ['VerificationService']\n",

@@ -104,6 +104,9 @@ _register(
              legacy_pragma="allow-column-array"),
     CodeInfo("CDL033", ERROR, "layering",
              "showcased code imports outside the public __all__ surface"),
+    CodeInfo("CDL034", ERROR, "layering",
+             "cost-ledger history (entries/events) read outside "
+             "src/repro/llm/"),
 )
 
 

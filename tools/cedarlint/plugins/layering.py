@@ -9,6 +9,10 @@ These port ``tools/check_invariants.py``'s layer boundaries:
   ``src/repro/sqlengine/`` and its tests (invariant 6);
 * CDL033 — examples and fenced docs snippets import only ``__all__``
   names from ``repro`` packages (invariant 4).
+* CDL034 — a cost ledger's ``entries`` / ``events`` history is read only
+  inside ``src/repro/llm/`` and tests; everything else reads the
+  ledger's running aggregates, so no scan of the whole history creeps
+  back into a per-request path.
 
 (The behavioural half of the legacy set — seedless ``random.Random()``
 and the obs clock ban — lives in the determinism family as CDL011 and
@@ -36,6 +40,10 @@ _SQLITE_OWNER = "src/repro/cache"
 #: Owners of the columnar storage layout.
 _COLUMN_ARRAY_OWNERS = ("src/repro/sqlengine", "tests/sqlengine")
 _COLUMN_ARRAY_ATTRS = ("column_array", "_arrays")
+
+#: Owner of the cost ledger's history lists, and what counts as one.
+_LEDGER_HISTORY_OWNERS = ("src/repro/llm", "tests")
+_LEDGER_HISTORY_ATTRS = ("entries", "events")
 
 _FENCED_PYTHON = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
@@ -119,6 +127,43 @@ class ColumnArrayRule(ModuleRule):
                     "column_values, or Table.from_columns instead "
                     "(# lint: allow-column-array to opt out)",
                 )
+
+
+class LedgerHistoryRule(ModuleRule):
+    """CDL034: ledger history scans stay inside the llm package.
+
+    Purely syntactic, like CDL032: an ``entries``/``events`` attribute
+    read off an expression whose last name mentions ``ledger``
+    (``ledger.entries``, ``self.ledger.events``, ``seq_ledger.entries``).
+    """
+
+    code = "CDL034"
+    name = "ledger-history"
+
+    def check(self, ctx: ModuleContext) -> Iterable[Diagnostic]:
+        if ctx.in_dir(*_LEDGER_HISTORY_OWNERS):
+            return
+        for node in ast.walk(ctx.tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in _LEDGER_HISTORY_ATTRS
+                and "ledger" in _last_name(node.value).lower()
+            ):
+                yield ctx.diagnostic(
+                    self.code, node,
+                    f"ledger.{node.attr} read outside src/repro/llm/ — "
+                    "scanning the ledger's history costs O(uptime); use "
+                    "totals(), totals_by_tag_prefix(), snapshot() or a "
+                    "checkpoint window (totals_since) instead",
+                )
+
+
+def _last_name(node: ast.expr) -> str:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return ""
 
 
 class PublicSurfaceRule(ProjectRule):
@@ -244,4 +289,5 @@ RULES = (
     SqliteOwnershipRule,
     ColumnArrayRule,
     PublicSurfaceRule,
+    LedgerHistoryRule,
 )
